@@ -680,18 +680,21 @@ int main(int argc, char** argv) try {
       std::uint64_t redirects = 0;
       std::uint64_t client_redirects = 0;
     };
+    // Sized so the post-shift window (~1.4 ms of simulated time at the
+    // rate below) leaves the controller room to promote the new head.
     const std::uint64_t shift_requests =
-        std::max<std::uint64_t>(requests_per_shard, 600) * 8;
+        std::max<std::uint64_t>(requests_per_shard, 600) * 16;
     const std::uint64_t shift_at = shift_requests / 2;
 
     load::GeneratorConfig gbase;
     gbase.seed = harness.seed() ^ 0xe1a57ull;
     gbase.requests = shift_requests;
-    // Well past the hot stripe's root capacity: under Zipf 0.99 on the
-    // range policy ~80% of the traffic lands in ONE quarter of the key
-    // space, so the static fabric's post-shift drain is bound by a single
-    // sequencer while the elastic one sheds the head onto hot groups.
-    gbase.rate_rps = 2'000'000.0;
+    // Well past the hot shard's capacity: under Zipf 0.99 on the range
+    // policy ~80% of the traffic lands in ONE quarter of the key space, so
+    // the static fabric's post-shift drain is bound by one shard (~2.2M
+    // req/s: ~32 keys share each of its stripe locks) while the elastic
+    // one sheds the head onto hot groups.
+    gbase.rate_rps = 4'000'000.0;
     gbase.keys.dist = load::KeyDist::kZipfian;
     gbase.keys.keys = 1024;
     gbase.keys.shift_at_request = shift_at;

@@ -13,10 +13,15 @@ MultiGroupMutex::MultiGroupMutex(dsm::DsmSystem& sys,
   std::sort(ordered_.begin(), ordered_.end());
   OPTSYNC_EXPECT(std::adjacent_find(ordered_.begin(), ordered_.end()) ==
                  ordered_.end());  // no duplicate locks
-  clients_.reserve(ordered_.size());
   for (const dsm::VarId l : ordered_) {
     OPTSYNC_EXPECT(sys.var(l).kind == dsm::VarKind::kLock);
-    clients_.push_back(std::make_unique<sync::GwcQueueLock>(sys, l));
+    // A run holds consecutive same-group locks only: merging across an
+    // interleaved foreign lock would break the global order.
+    if (runs_.empty() ||
+        sys.var(runs_.back().back()).group != sys.var(l).group) {
+      runs_.emplace_back();
+    }
+    runs_.back().push_back(l);
   }
 }
 
@@ -36,8 +41,8 @@ sim::Process MultiGroupMutex::acquire(dsm::NodeId n) {
 
 sim::Process MultiGroupMutex::acquire_impl(dsm::NodeId n) {
   const sim::Time started = sys_->scheduler().now();
-  for (auto& client : clients_) {
-    co_await client->acquire(n).join();
+  for (const auto& run : runs_) {
+    co_await sync::acquire_lock_set(*sys_, n, run).join();
   }
   ++stats_.acquisitions;
   const sim::Duration waited = sys_->scheduler().now() - started;
@@ -46,15 +51,16 @@ sim::Process MultiGroupMutex::acquire_impl(dsm::NodeId n) {
 }
 
 void MultiGroupMutex::release(dsm::NodeId n) {
-  for (auto it = clients_.rbegin(); it != clients_.rend(); ++it) {
-    (*it)->release(n);
+  for (auto it = runs_.rbegin(); it != runs_.rend(); ++it) {
+    sync::release_lock_set(*sys_, n, *it);
   }
   ++stats_.releases;
 }
 
 bool MultiGroupMutex::held_by(dsm::NodeId n) const {
-  for (const auto& client : clients_) {
-    if (!client->held_by(n)) return false;
+  const auto& node = sys_->node(n);
+  for (const dsm::VarId l : ordered_) {
+    if (node.read(l) != dsm::lock_grant_value(n)) return false;
   }
   return true;
 }

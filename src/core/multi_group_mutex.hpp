@@ -5,8 +5,11 @@
 // the same paths through the roots guarantees a consistent view of variable
 // updates."
 //
-// Each group's root manages its own queue lock; a cross-group critical
-// section acquires one lock per involved group.
+// Each group's root manages its own queue locks; a cross-group critical
+// section acquires every involved lock. Locks of one group that are
+// adjacent in the global order (a shard's slot-stripe locks) travel as ONE
+// lock-set request (sync::acquire_lock_set): a section pays one round trip
+// per group, not per lock, and the root grants the set in ascending order.
 //
 // CANONICAL LOCK ORDER (deadlock-avoidance invariant): every multi-lock
 // acquisition in the system — this mutex AND the OCC commit protocol in
@@ -51,6 +54,7 @@ class MultiGroupMutex : public sync::Lock {
     return ordered_;
   }
 
+
   /// Unified counters. The wait here is the whole-chain acquire latency
   /// (first request to last grant), not a per-constituent-lock figure.
   [[nodiscard]] const sync::LockStatsView& stats() const { return stats_; }
@@ -63,7 +67,9 @@ class MultiGroupMutex : public sync::Lock {
 
   dsm::DsmSystem* sys_;
   std::vector<dsm::VarId> ordered_;
-  std::vector<std::unique_ptr<sync::GwcQueueLock>> clients_;
+  /// The lock-set requests acquire() sends, in order: maximal runs of
+  /// same-group locks in the global order.
+  std::vector<std::vector<dsm::VarId>> runs_;
   sync::LockStatsView stats_;
 };
 

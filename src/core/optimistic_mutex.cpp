@@ -248,6 +248,7 @@ sim::Process OptimisticMutex::execute_impl(NodeId n, Section section,
     if (cfg_.lock_stats != nullptr) {
       ++cfg_.lock_stats->speculative_attempts;
       ++cfg_.lock_stats->history_allows;
+      cfg_.lock_stats->journaled_vars += section.shared_writes.size();
     }
     emit(n, trace::EventKind::kSpeculateBegin, old_val);
     const sim::Time spec_begin = sched.now();

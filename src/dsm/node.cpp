@@ -42,6 +42,24 @@ Word DsmNode::atomic_exchange(VarId v, Word value) {
   return old;
 }
 
+void DsmNode::write_lock_set(const std::vector<VarId>& locks, Word value) {
+  OPTSYNC_EXPECT(!locks.empty());
+  if (locks.size() == 1) {
+    write(locks.front(), value);
+    return;
+  }
+  for (const VarId v : locks) {
+    OPTSYNC_EXPECT(v < sys_->var_count());
+    ensure_capacity(v);
+    memory_[v] = value;
+    ++stats_.local_writes;
+  }
+  sys_->share_out_lock_set(id_, locks, value);
+  for (const VarId v : locks) {
+    if (auto* sig = signal_if_any(v)) sig->notify_all();
+  }
+}
+
 void DsmNode::poke(VarId v, Word value) {
   OPTSYNC_EXPECT(v < sys_->var_count());
   ensure_capacity(v);

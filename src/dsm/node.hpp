@@ -45,6 +45,12 @@ class DsmNode {
   /// operation lest a grant arriving in between be lost.
   Word atomic_exchange(VarId v, Word value);
 
+  /// Sets every lock word of `locks` (one group, strictly ascending VarId)
+  /// to `value` locally and eagershares them as ONE lock-set message
+  /// (DsmSystem::share_out_lock_set) — a multi-stripe request or release.
+  /// A one-lock set is exactly write().
+  void write_lock_set(const std::vector<VarId>& locks, Word value);
+
   /// Direct local set with no sharing traffic; for initialization and tests.
   void poke(VarId v, Word value);
 

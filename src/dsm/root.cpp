@@ -17,20 +17,28 @@ GroupRoot::GroupRoot(DsmSystem& sys, GroupId gid)
       coalesce_ns_(sys.config().coalesce_max_ns) {}
 
 GroupRoot::LockEntry& GroupRoot::lock_entry(VarId v) {
-  for (LockEntry& e : locks_) {
-    if (e.var == v) return e;
+  const VarInfo& info = sys_->var(v);
+  OPTSYNC_EXPECT(info.kind == VarKind::kLock && info.group == gid_);
+  // Sized to the group's lock count on first touch of a newer lock, so
+  // references into the table stay valid while one arrival is processed.
+  if (info.lock_index >= locks_.size()) locks_.resize(sys_->lock_count(gid_));
+  return locks_[info.lock_index];
+}
+
+const GroupRoot::LockEntry* GroupRoot::find_lock(VarId v) const {
+  if (v >= sys_->var_count()) return nullptr;
+  const VarInfo& info = sys_->var(v);
+  if (info.kind != VarKind::kLock || info.group != gid_ ||
+      info.lock_index >= locks_.size()) {
+    return nullptr;
   }
-  locks_.emplace_back();
-  locks_.back().var = v;
-  return locks_.back();
+  return &locks_[info.lock_index];
 }
 
 const GroupRoot::LockState& GroupRoot::lock_state(VarId lock) const {
   static const LockState kIdle;
-  for (const LockEntry& e : locks_) {
-    if (e.var == lock) return e.state;
-  }
-  return kIdle;
+  const LockEntry* e = find_lock(lock);
+  return e != nullptr ? e->state : kIdle;
 }
 
 void GroupRoot::set_coalesce(std::uint32_t max_writes, sim::Duration max_ns) {
@@ -49,27 +57,26 @@ void GroupRoot::on_arrival(NodeId origin, VarId v, Word value,
   OPTSYNC_EXPECT(info.group == gid_);
 
   if (quiesced_) {
-    // Root handoff in progress: nothing is admitted — not even lock words —
-    // so the sequencer state frozen at begin_quiesce() is exactly what the
-    // successor inherits. The write is parked and replayed, in arrival
-    // order, by end_quiesce(). The log is bounded: a migration stuck long
-    // enough to park this much traffic is a protocol bug, not load.
-    constexpr std::size_t kHandoffLogCap = 65536;
-    OPTSYNC_ENSURE(handoff_log_.size() < kHandoffLogCap);
-    handoff_log_.push_back(HeldArrival{origin, v, value, ctx});
-    ++mig_stats_.handoff_logged;
-    mig_stats_.max_handoff_log =
-        std::max(mig_stats_.max_handoff_log, handoff_log_.size());
+    park(HeldArrival{origin, v, value, ctx, {}});
     return;
   }
 
   switch (info.kind) {
     case VarKind::kLock:
-      handle_lock_write(origin, v, value, ctx);
+      if (value == kLockFree) {
+        release_lock(origin, v, ctx);
+      } else {
+        OPTSYNC_EXPECT(value < 0);  // a request: -(id + 1)
+        OPTSYNC_EXPECT(static_cast<NodeId>(-value - 1) == origin);
+        request_locks(origin, std::span<const VarId>(&v, 1), ctx);
+      }
+      flush_cut_through();
       return;
 
     case VarKind::kMutexData:
       if (sys_->config().root_filters_speculative) {
+        // Filtered against the datum's OWN guard lock: with one lock per
+        // slot stripe, holding a neighbour stripe's lock is not enough.
         const LockState& ls = lock_state(info.guard);
         if (ls.holder != origin) {
           // §4: "If the local CPU does not have the lock when the new
@@ -101,59 +108,118 @@ void GroupRoot::on_arrival(NodeId origin, VarId v, Word value,
   }
 }
 
-void GroupRoot::handle_lock_write(NodeId origin, VarId v, Word value,
-                                  telemetry::SpanContext ctx) {
-  LockEntry& entry = lock_entry(v);
-  LockState& ls = entry.state;
+void GroupRoot::park(HeldArrival h) {
+  // Root handoff in progress: nothing is admitted — not even lock words —
+  // so the sequencer state frozen at begin_quiesce() is exactly what the
+  // successor inherits. The arrival is parked and replayed, in arrival
+  // order, by end_quiesce(). The log is bounded: a migration stuck long
+  // enough to park this much traffic is a protocol bug, not load.
+  constexpr std::size_t kHandoffLogCap = 65536;
+  OPTSYNC_ENSURE(handoff_log_.size() < kHandoffLogCap);
+  handoff_log_.push_back(std::move(h));
+  ++mig_stats_.handoff_logged;
+  mig_stats_.max_handoff_log =
+      std::max(mig_stats_.max_handoff_log, handoff_log_.size());
+}
 
-  if (value == kLockFree) {
-    // Release. The paper assumes correct bracketing; enforce it.
-    OPTSYNC_EXPECT(ls.holder == origin);
-    ++ls.releases;
-    if (!ls.queue.empty()) {
-      // "The root checks whether any nodes are queued awaiting exclusive
-      // access. If so, the next queued number is written as the new lock
-      // value" — the grant is appended right after the releaser's data.
-      ls.holder = ls.queue.take_front();
-      ++ls.queued_grants;
-      telemetry::SpanContext grant_ctx{};
-      if (!entry.meta.empty()) {
-        const WaiterMeta waiter = entry.meta.take_front();
-        grant_ctx = waiter.ctx;
-        if (auto* trc = sys_->tracer(); trc != nullptr && grant_ctx.valid()) {
-          // The queue-wait leg of the waiter's trace ends here: the grant
-          // is being sequenced into the releaser's frame right now.
-          trc->record_span(grant_ctx.trace, grant_ctx.span,
-                           telemetry::SpanKind::kRootQueue,
-                           sys_->group(gid_).root(), waiter.enqueued_at,
-                           sys_->scheduler().now());
-        }
-      }
-      multicast(v, lock_grant_value(ls.holder), sys_->group(gid_).root(),
-                grant_ctx);
-    } else {
-      ls.holder = kNoNode;
-      multicast(v, kLockFree, sys_->group(gid_).root(), ctx);
-    }
+void GroupRoot::on_lock_set(NodeId origin, const std::vector<VarId>& locks,
+                            Word value, telemetry::SpanContext ctx) {
+  OPTSYNC_EXPECT(!locks.empty());
+  if (quiesced_) {
+    park(HeldArrival{origin, kNoVar, value, ctx, locks});
     return;
   }
-
-  OPTSYNC_EXPECT(value < 0);  // a request: -(id + 1)
-  const NodeId requester = static_cast<NodeId>(-value - 1);
-  OPTSYNC_EXPECT(requester == origin);
-  OPTSYNC_EXPECT(ls.holder != requester);  // no nested acquisition (Fig. 4)
-  ++ls.requests;
-  if (ls.holder == kNoNode) {
-    ls.holder = requester;
-    ++ls.immediate_grants;
-    multicast(v, lock_grant_value(requester), sys_->group(gid_).root(), ctx);
+  if (value == kLockFree) {
+    for (const VarId v : locks) release_lock(origin, v, ctx);
   } else {
+    OPTSYNC_EXPECT(value == lock_request_value(origin));
+    ++stats_.lock_set_requests;
+    request_locks(origin, locks, ctx);
+  }
+  flush_cut_through();
+}
+
+void GroupRoot::request_locks(NodeId requester, std::span<const VarId> locks,
+                              telemetry::SpanContext ctx) {
+  const NodeId root = sys_->group(gid_).root();
+  for (std::size_t i = 0; i < locks.size(); ++i) {
+    LockEntry& entry = lock_entry(locks[i]);
+    LockState& ls = entry.state;
+    OPTSYNC_EXPECT(ls.holder != requester);  // no nested acquisition (Fig. 4)
+    ++ls.requests;
+    if (ls.holder == kNoNode) {
+      ls.holder = requester;
+      ++ls.immediate_grants;
+      multicast(locks[i], lock_grant_value(requester), root, ctx);
+      continue;
+    }
     // Busy: queue the processor id; requests are consumed by the root and
-    // never propagate to other members.
+    // never propagate to other members. The rest of a lock set waits here
+    // too, parked until this lock is handed over.
+    std::uint32_t set = kNoSet;
+    if (i + 1 < locks.size()) {
+      if (free_sets_.empty()) {
+        set = static_cast<std::uint32_t>(sets_.size());
+        sets_.emplace_back();
+      } else {
+        set = free_sets_.back();
+        free_sets_.pop_back();
+      }
+      sets_[set].assign(locks.begin() + static_cast<std::ptrdiff_t>(i + 1),
+                        locks.end());
+    }
     ls.queue.push_back(requester);
     ls.max_queue_depth = std::max(ls.max_queue_depth, ls.queue.size());
-    entry.meta.push_back(WaiterMeta{ctx, sys_->scheduler().now()});
+    entry.meta.push_back(WaiterMeta{ctx, sys_->scheduler().now(), set});
+    return;
   }
+}
+
+void GroupRoot::release_lock(NodeId origin, VarId v,
+                             telemetry::SpanContext ctx) {
+  LockEntry& entry = lock_entry(v);
+  LockState& ls = entry.state;
+  // The paper assumes correct bracketing; enforce it.
+  OPTSYNC_EXPECT(ls.holder == origin);
+  ++ls.releases;
+  const NodeId root = sys_->group(gid_).root();
+  if (ls.queue.empty()) {
+    ls.holder = kNoNode;
+    multicast(v, kLockFree, root, ctx);
+    return;
+  }
+  // "The root checks whether any nodes are queued awaiting exclusive
+  // access. If so, the next queued number is written as the new lock
+  // value" — the grant is appended right after the releaser's data.
+  ls.holder = ls.queue.take_front();
+  ++ls.queued_grants;
+  const WaiterMeta waiter = entry.meta.take_front();
+  if (auto* trc = sys_->tracer(); trc != nullptr && waiter.ctx.valid()) {
+    // The queue-wait leg of the waiter's trace ends here: the grant is
+    // being sequenced into the releaser's frame right now.
+    trc->record_span(waiter.ctx.trace, waiter.ctx.span,
+                     telemetry::SpanKind::kRootQueue, root,
+                     waiter.enqueued_at, sys_->scheduler().now());
+  }
+  const NodeId holder = ls.holder;
+  multicast(v, lock_grant_value(holder), root, waiter.ctx);
+  if (waiter.set != kNoSet) {
+    // A lock-set waiter: resume granting the rest of its set, in order.
+    // The slot is freed only afterwards (request_locks may park anew),
+    // and gets its buffer back so the capacity is reused.
+    std::vector<VarId> rest;
+    rest.swap(sets_[waiter.set]);
+    request_locks(holder, rest, waiter.ctx);
+    rest.clear();
+    sets_[waiter.set].swap(rest);
+    free_sets_.push_back(waiter.set);
+  }
+}
+
+void GroupRoot::flush_cut_through() {
+  if (!cut_pending_) return;
+  cut_pending_ = false;
+  flush_pending(/*timer_fired=*/false);
 }
 
 void GroupRoot::multicast(VarId v, Word value, NodeId origin,
@@ -170,6 +236,7 @@ void GroupRoot::multicast(VarId v, Word value, NodeId origin,
     e.seq = seq;
     e.value = value;
     e.origin = origin;
+    e.guard = sys_->var(v).guard;
     e.label = var_kind_name(sys_->var(v).kind);
     rec->record(e);
   }
@@ -189,10 +256,15 @@ void GroupRoot::multicast(VarId v, Word value, NodeId origin,
   // every lock hand-off behind the batch (at cap 64 a hand-off could wait
   // for 63 more writes to arrive). Ship the frame the moment a lock word
   // lands: the grant still rides with the data writes sequenced before it
-  // (§2), and only pure data traffic coalesces to full depth.
-  if (pending_.writes.size() >= coalesce_writes_ ||
-      sys_->var(v).kind == VarKind::kLock) {
+  // (§2), and only pure data traffic coalesces to full depth. The flush
+  // happens once the arrival that sequenced the lock word is fully
+  // handled (flush_cut_through), so a lock set's grants share one frame.
+  if (pending_.writes.size() >= coalesce_writes_) {
     flush_pending(/*timer_fired=*/false);
+    return;
+  }
+  if (sys_->var(v).kind == VarKind::kLock) {
+    cut_pending_ = true;
     return;
   }
   if (flush_timer_ == 0) {
@@ -227,7 +299,11 @@ void GroupRoot::end_quiesce() {
   log.swap(handoff_log_);
   for (const HeldArrival& h : log) {
     ++mig_stats_.handoff_replayed;
-    on_arrival(h.origin, h.var, h.value, h.ctx);
+    if (h.set.empty()) {
+      on_arrival(h.origin, h.var, h.value, h.ctx);
+    } else {
+      on_lock_set(h.origin, h.set, h.value, h.ctx);
+    }
   }
 }
 

@@ -7,10 +7,22 @@
 // free writes. For optimistic synchronization the root additionally filters
 // mutex-data writes from nodes that do not hold the guard lock ("the group
 // root can suppress propagation of improper data changes", §4).
+//
+// Lock sets: a node that needs several locks of one group (the stripe
+// locks a multi-key commit touches on one shard) sends them as ONE
+// lock-set message (on_lock_set). The root grants the set itself, in
+// ascending VarId order: every free lock is granted at once, and the
+// requester queues at the first busy one; when that lock is handed to it,
+// the root resumes the set from the next lock. Grants emitted while one
+// arrival is processed share one frame. A set holder therefore waits only
+// at locks above the ones it holds — the global ascending-VarId order
+// every multi-lock path follows (core/multi_group_mutex.hpp).
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <span>
+#include <vector>
 
 #include "dsm/frame.hpp"
 #include "dsm/types.hpp"
@@ -34,6 +46,12 @@ class GroupRoot {
   void on_arrival(NodeId origin, VarId v, Word value,
                   telemetry::SpanContext ctx = {});
 
+  /// A lock-set message from `origin` arrives: `locks` (this group's,
+  /// strictly ascending) all requested by `origin` (value ==
+  /// lock_request_value(origin)) or all released (value == kLockFree).
+  void on_lock_set(NodeId origin, const std::vector<VarId>& locks, Word value,
+                   telemetry::SpanContext ctx = {});
+
   /// Queue-lock state for one lock variable. The waiter queue is a flat
   /// ring buffer (deque surface, no per-node allocation): one push/pop per
   /// contended request sits on the sequencing hot path.
@@ -55,6 +73,7 @@ class GroupRoot {
     std::uint64_t size_flushes = 0;       ///< frames closed by the size cap
     std::uint64_t timer_flushes = 0;      ///< frames closed by coalesce_max_ns
     std::size_t max_frame_writes = 0;     ///< largest frame shipped
+    std::uint64_t lock_set_requests = 0;  ///< multi-lock request messages
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
@@ -128,42 +147,64 @@ class GroupRoot {
   }
 
  private:
-  void handle_lock_write(NodeId origin, VarId v, Word value,
-                         telemetry::SpanContext ctx);
+  /// Grants `locks` to `requester` in order, from the first: each free
+  /// lock at once; at the first busy one the requester queues and the
+  /// rest of the set is parked until that lock is handed over.
+  void request_locks(NodeId requester, std::span<const VarId> locks,
+                     telemetry::SpanContext ctx);
+  void release_lock(NodeId origin, VarId v, telemetry::SpanContext ctx);
   void multicast(VarId v, Word value, NodeId origin,
                  telemetry::SpanContext ctx = {});
   void flush_pending(bool timer_fired);
+  /// Lock cut-through: ships the open frame if the arrival just handled
+  /// sequenced a lock word — every grant and free of one arrival (a whole
+  /// lock set) rides in one frame.
+  void flush_cut_through();
+
+  static constexpr std::uint32_t kNoSet = ~0u;
 
   /// Trace metadata for queued lock waiters, kept in lockstep with
-  /// LockState::queue (only handle_lock_write pushes/pops either). A
-  /// side ring so the public LockState stays a plain NodeId queue.
+  /// LockState::queue (only request_locks/release_lock push/pop either). A
+  /// side ring so the public LockState stays a plain NodeId queue. `set`
+  /// indexes the parked remainder of a lock-set request (kNoSet: none).
   struct WaiterMeta {
     telemetry::SpanContext ctx{};
     sim::Time enqueued_at = 0;
+    std::uint32_t set = kNoSet;
   };
 
-  /// One lock variable's full root-side state. The table is a flat vector
-  /// scanned linearly: groups hold a handful of locks (the sharded service
-  /// exactly one), and the scan beats hashing at that size.
+  /// One lock variable's full root-side state, indexed by the lock's
+  /// dense VarInfo::lock_index — a lookup is one vector index however
+  /// many locks the group holds (a shard holds one per slot stripe).
   struct LockEntry {
-    VarId var = kNoVar;
     LockState state;
     util::Ring<WaiterMeta> meta;
   };
   LockEntry& lock_entry(VarId v);
+  /// The entry of `v` when it is one of this group's locks, else nullptr.
+  [[nodiscard]] const LockEntry* find_lock(VarId v) const;
 
-  /// One write parked while the root is quiesced for migration.
+  /// One write (or lock set: `set` non-empty) parked while the root is
+  /// quiesced for migration.
   struct HeldArrival {
     NodeId origin;
     VarId var;
     Word value;
     telemetry::SpanContext ctx;
+    std::vector<VarId> set;
   };
+  /// Parks an arrival in the handoff log while quiesced.
+  void park(HeldArrival h);
 
   DsmSystem* sys_;
   GroupId gid_;
   std::uint64_t next_seq_ = 1;
   std::vector<LockEntry> locks_;
+  /// Parked lock-set remainders (locks still to grant, ascending), with a
+  /// free list; WaiterMeta::set points here.
+  std::vector<std::vector<VarId>> sets_;
+  std::vector<std::uint32_t> free_sets_;
+  bool cut_pending_ = false;  ///< a lock word awaits flush_cut_through()
   Frame pending_;                 ///< open frame awaiting flush
   FrameObserver observer_;        ///< flush tap (lease directory)
   sim::EventId flush_timer_ = 0;  ///< 0 = not armed

@@ -66,7 +66,9 @@ VarId DsmSystem::define_data(std::string name, GroupId g, Word init,
 VarId DsmSystem::define_lock(std::string name, GroupId g) {
   OPTSYNC_EXPECT(g < groups_.size());
   const auto v = static_cast<VarId>(vars_.size());
-  vars_.push_back(VarInfo{std::move(name), g, VarKind::kLock, kNoVar, 0});
+  if (group_locks_.size() <= g) group_locks_.resize(g + 1, 0);
+  vars_.push_back(VarInfo{std::move(name), g, VarKind::kLock, kNoVar, 0,
+                          group_locks_[g]++});
   initialize(v, kLockFree);
   return v;
 }
@@ -169,20 +171,48 @@ void DsmSystem::share_out(NodeId origin, VarId v, Word value) {
   transport_send(
       origin, root, grp.up_hops(origin), bytes_for(v), tag,
       [this, g = info.group, origin, v, value, ctx, sent, base] {
-        if (auto* trc = tracer(); trc != nullptr && ctx.valid()) {
-          // Split flight time into the fault-free base (kWireUp) and
-          // whatever retransmission/backoff added on top (kRetransmit).
-          const sim::Time now = sched_->now();
-          const sim::Time base_end = std::min(sent + base, now);
-          trc->record_span(ctx.trace, ctx.span, telemetry::SpanKind::kWireUp,
-                           origin, sent, base_end);
-          if (now > base_end) {
-            trc->record_span(ctx.trace, ctx.span,
-                             telemetry::SpanKind::kRetransmit, origin,
-                             base_end, now);
-          }
-        }
+        record_up_spans(ctx, origin, sent, base);
         roots_[g]->on_arrival(origin, v, value, ctx);
+      });
+}
+
+GroupId DsmSystem::check_lock_set(const std::vector<VarId>& locks) const {
+  OPTSYNC_EXPECT(!locks.empty());
+  const GroupId g = var(locks.front()).group;
+  for (std::size_t i = 0; i < locks.size(); ++i) {
+    const VarInfo& info = var(locks[i]);
+    OPTSYNC_EXPECT(info.kind == VarKind::kLock && info.group == g);
+    OPTSYNC_EXPECT(i == 0 || locks[i - 1] < locks[i]);
+  }
+  return g;
+}
+
+void DsmSystem::share_out_lock_set(NodeId origin,
+                                   const std::vector<VarId>& locks,
+                                   Word value) {
+  const GroupId g = check_lock_set(locks);
+  const Group& grp = group(g);
+  OPTSYNC_EXPECT(grp.contains(origin));
+  const NodeId root = grp.root();
+  // A set packs into one lock packet: the value word carries the set as a
+  // bitmap over the group's lock indices. Equal size also keeps the
+  // node->root flow FIFO — a larger set message could otherwise be
+  // overtaken by the next (smaller) request or data write of the node.
+  const std::uint32_t bytes = config_.lock_bytes;
+  // Same causal-context plumbing as a single lock word (share_out).
+  telemetry::SpanContext ctx{};
+  sim::Time sent = 0;
+  sim::Duration base = 0;
+  if (auto* trc = tracer()) {
+    ctx = trc->node_ctx(origin);
+    sent = sched_->now();
+    base = net_.latency_hops(grp.up_hops(origin), bytes);
+  }
+  transport_send(
+      origin, root, grp.up_hops(origin), bytes, "lock-up",
+      [this, g, origin, locks, value, ctx, sent, base] {
+        record_up_spans(ctx, origin, sent, base);
+        roots_[g]->on_lock_set(origin, locks, value, ctx);
       });
 }
 
@@ -301,6 +331,22 @@ void DsmSystem::multicast_frame(GroupId g, Frame& frame) {
             nodes_[m]->deliver_frame(g, *payload);
           }
         });
+  }
+}
+
+void DsmSystem::record_up_spans(telemetry::SpanContext ctx, NodeId origin,
+                                sim::Time sent, sim::Duration base) {
+  auto* trc = tracer();
+  if (trc == nullptr || !ctx.valid()) return;
+  // Split flight time into the fault-free base (kWireUp) and whatever
+  // retransmission/backoff added on top (kRetransmit).
+  const sim::Time now = sched_->now();
+  const sim::Time base_end = std::min(sent + base, now);
+  trc->record_span(ctx.trace, ctx.span, telemetry::SpanKind::kWireUp, origin,
+                   sent, base_end);
+  if (now > base_end) {
+    trc->record_span(ctx.trace, ctx.span, telemetry::SpanKind::kRetransmit,
+                     origin, base_end, now);
   }
 }
 

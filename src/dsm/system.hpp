@@ -83,6 +83,10 @@ class DsmSystem {
   [[nodiscard]] GroupRoot& root_of(GroupId g);
   [[nodiscard]] const VarInfo& var(VarId v) const;
   [[nodiscard]] std::size_t var_count() const { return vars_.size(); }
+  /// Lock variables defined in group `g` (dense VarInfo::lock_index range).
+  [[nodiscard]] std::uint32_t lock_count(GroupId g) const {
+    return g < group_locks_.size() ? group_locks_[g] : 0;
+  }
   [[nodiscard]] net::Network& network() { return net_; }
   [[nodiscard]] sim::Scheduler& scheduler() { return *sched_; }
   [[nodiscard]] const DsmConfig& config() const { return config_; }
@@ -112,6 +116,20 @@ class DsmSystem {
   // --- substrate internals (used by DsmNode / GroupRoot) -----------------
   /// Ships a node's write to its group root (up the spanning tree).
   void share_out(NodeId origin, VarId v, Word value);
+
+  /// Ships ONE lock-set message from `origin` to the root of the locks'
+  /// group: every lock word of `locks` (all in one group, strictly
+  /// ascending VarId) set to `value` — a request (lock_request_value of
+  /// the origin) or a release (kLockFree). The root processes the set in
+  /// order as one arrival (GroupRoot::on_lock_set). The message is one
+  /// lock packet (lock_bytes), like a single lock word.
+  void share_out_lock_set(NodeId origin, const std::vector<VarId>& locks,
+                          Word value);
+
+  /// Checks that `locks` is a valid lock set — non-empty, every entry a
+  /// lock variable of one group, strictly ascending — and returns the
+  /// group. Throws ContractViolation otherwise.
+  GroupId check_lock_set(const std::vector<VarId>& locks) const;
 
   /// Root -> members: multicasts a frame of sequenced writes down the tree.
   /// The whole frame travels as one message per member (per-frame header
@@ -148,6 +166,11 @@ class DsmSystem {
                       std::uint32_t bytes, std::string_view tag,
                       net::DeliveryFn on_delivery);
 
+  /// Records the wire-up (and any retransmit) telemetry spans of a traced
+  /// lock message that just reached its root.
+  void record_up_spans(telemetry::SpanContext ctx, NodeId origin,
+                       sim::Time sent, sim::Duration base);
+
   /// Records the wire-down (and any retransmit) telemetry spans for the
   /// traced lock grants a delivered frame carries for member `m`.
   void record_down_spans(telemetry::Tracer& trc, const Frame& frame, NodeId m,
@@ -164,6 +187,7 @@ class DsmSystem {
   std::vector<std::unique_ptr<Group>> groups_;
   std::vector<std::unique_ptr<GroupRoot>> roots_;
   std::vector<VarInfo> vars_;
+  std::vector<std::uint32_t> group_locks_;  ///< locks defined per group
   std::vector<sim::Time> group_busy_until_;  ///< root serial-dispatch clock
   /// When the root's interface finishes serializing its latest frame. A
   /// later, smaller frame may not be injected so soon after a larger one

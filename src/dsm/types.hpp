@@ -182,6 +182,9 @@ struct VarInfo {
   /// Wire size of update packets for this variable; 0 means the config
   /// default. Lets workloads model aggregates larger than one word.
   std::uint32_t wire_bytes = 0;
+  /// For kLock: the lock's dense index among its group's locks (0, 1, ...
+  /// in definition order) — the group root's lock-table slot.
+  std::uint32_t lock_index = 0;
 };
 
 inline constexpr VarId kNoVar = std::numeric_limits<VarId>::max();

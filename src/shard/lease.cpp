@@ -64,8 +64,7 @@ void LeaseManager::register_shard(ShardId shard, dsm::GroupId group,
                                   dsm::NodeId root,
                                   const std::vector<dsm::VarId>& slot_keys,
                                   const std::vector<dsm::VarId>& slot_values,
-                                  const std::vector<dsm::VarId>& orec_vars,
-                                  dsm::VarId version_var) {
+                                  const std::vector<dsm::VarId>& orec_vars) {
   OPTSYNC_EXPECT(slot_keys.size() == slots_ && slot_values.size() == slots_);
   // Per-slot stripes map 1:1; elastic mode appends one extra directory
   // stripe (it guards routing, not a slot) which the lease tier ignores.
@@ -84,7 +83,6 @@ void LeaseManager::register_shard(ShardId shard, dsm::GroupId group,
     roles_[slot_values[i]] = VarRole{shard, Role::kSlotValue, i};
     roles_[orec_vars[i]] = VarRole{shard, Role::kOrec, i};
   }
-  roles_[version_var] = VarRole{shard, Role::kVersion, 0};
   ShardDir* raw = dir.get();
   dirs_[shard] = std::move(dir);
   sys_->root_of(group).set_frame_observer(
@@ -107,9 +105,6 @@ void LeaseManager::on_flush(ShardDir& dir, const dsm::Frame& frame) {
         break;
       case Role::kSlotValue:
         dir.slot_val[r.index] = w.value;
-        break;
-      case Role::kVersion:
-        dir.version = w.value;
         break;
       case Role::kOrec: {
         const std::uint32_t ls = stripe_of(r.index);

@@ -141,15 +141,14 @@ class LeaseManager {
   LeaseManager(const LeaseManager&) = delete;
   LeaseManager& operator=(const LeaseManager&) = delete;
 
-  /// Wires one shard into the tier: builds the var -> (slot | orec stripe |
-  /// version) role table, seeds the authoritative value table, and installs
+  /// Wires one shard into the tier: builds the var -> (slot | orec stripe)
+  /// role table, seeds the authoritative value table, and installs
   /// the frame observer on the shard's root. Call once per shard, before
   /// any traffic.
   void register_shard(ShardId shard, dsm::GroupId group, dsm::NodeId root,
                       const std::vector<dsm::VarId>& slot_keys,
                       const std::vector<dsm::VarId>& slot_values,
-                      const std::vector<dsm::VarId>& orec_vars,
-                      dsm::VarId version_var);
+                      const std::vector<dsm::VarId>& orec_vars);
 
   /// One client read against `shard`'s stripe of `slot`. With `leased` set
   /// (and LeaseConfig::enabled) the read is served from the local stripe
@@ -210,7 +209,7 @@ class LeaseManager {
 
  private:
   /// Where a frame write lands in the lease model.
-  enum class Role : std::uint8_t { kSlotKey, kSlotValue, kOrec, kVersion };
+  enum class Role : std::uint8_t { kSlotKey, kSlotValue, kOrec };
   struct VarRole {
     ShardId shard;
     Role role;
@@ -232,7 +231,6 @@ class LeaseManager {
     dsm::NodeId root = 0;
     std::vector<dsm::Word> slot_key;
     std::vector<dsm::Word> slot_val;
-    dsm::Word version = 0;
     std::vector<std::uint64_t> epoch;        ///< per lease stripe
     std::vector<std::vector<Holder>> holder; ///< per lease stripe
     ShardCounters counters;

@@ -41,6 +41,13 @@ sim::Process ack_when_done(dsm::DsmSystem& sys, sim::Process op,
 /// Already-completed Process for paths that did all their work
 /// synchronously (warm-lease snapshot serves).
 sim::Process completed_process() { co_return; }
+
+std::vector<Key> keys_of(const std::vector<std::pair<Key, dsm::Word>>& kvs) {
+  std::vector<Key> keys;
+  keys.reserve(kvs.size());
+  for (const auto& kv : kvs) keys.push_back(kv.first);
+  return keys;
+}
 }  // namespace
 
 ShardedStore::ShardedStore(dsm::DsmSystem& sys, ShardedStoreConfig cfg)
@@ -92,40 +99,50 @@ ShardedStore::ShardedStore(dsm::DsmSystem& sys, ShardedStoreConfig cfg)
 
   shards_.reserve(total_shards);
   for (std::uint32_t s = 0; s < total_shards; ++s) {
-    auto sh = std::make_unique<Shard>(cfg.history_decay);
+    auto sh = std::make_unique<Shard>();
     sh->root = members[(static_cast<std::size_t>(s) * cfg.root_stride) %
                        members.size()];
     sh->group = sys.create_group(members, sh->root);
     const std::string base = "svc.s" + std::to_string(s);
-    sh->lock = sys.define_lock(base + ".lock", sh->group);
-    sh->version =
-        sys.define_mutex_data(base + ".ver", sh->group, sh->lock, 0);
-    sh->slot_keys.reserve(cfg.slots_per_shard);
-    sh->slot_values.reserve(cfg.slots_per_shard);
-    for (std::uint32_t k = 0; k < cfg.slots_per_shard; ++k) {
-      const std::string slot = base + ".k" + std::to_string(k);
-      sh->slot_keys.push_back(
-          sys.define_mutex_data(slot + ".key", sh->group, sh->lock, 0));
-      sh->slot_values.push_back(
-          sys.define_mutex_data(slot + ".val", sh->group, sh->lock, 0));
+    const std::uint32_t slots = cfg.slots_per_shard;
+    // Stripe locks first, back to back: a shard's locks are one ascending
+    // VarId run, above every lower shard's — so one lock-set request per
+    // shard, shards ascending, is the global lock order.
+    for (std::uint32_t k = 0; k < slots; ++k) {
+      sh->locks.push_back(sys.define_lock(
+          base + ".k" + std::to_string(k) + ".lock", sh->group));
     }
     sh->stats.name = base + ".lock";
-    // Heatmap rows: one per orec stripe, plus the elastic directory stripe
-    // (index slots_per_shard) so dir-epoch conflicts land somewhere real.
-    sh->stripe_conflicts.assign(cfg.slots_per_shard + 1, 0);
     core::OptimisticMutex::Config mcfg;
     mcfg.history_threshold = cfg.history_threshold;
     mcfg.history_decay = cfg.history_decay;
     mcfg.lock_stats = &sh->stats;
-    sh->mux = std::make_unique<core::OptimisticMutex>(sys, sh->lock, mcfg);
-    sh->queue = std::make_unique<sync::GwcQueueLock>(sys, sh->lock);
+    for (std::uint32_t k = 0; k < slots; ++k) {
+      const std::string slot = base + ".k" + std::to_string(k);
+      const dsm::VarId lock = sh->locks[k];
+      sh->versions.push_back(
+          sys.define_mutex_data(slot + ".ver", sh->group, lock, 0));
+      sh->slot_keys.push_back(
+          sys.define_mutex_data(slot + ".key", sh->group, lock, 0));
+      sh->slot_values.push_back(
+          sys.define_mutex_data(slot + ".val", sh->group, lock, 0));
+      sh->muxes.push_back(
+          std::make_unique<core::OptimisticMutex>(sys, lock, mcfg));
+      sh->queues.push_back(std::make_unique<sync::GwcQueueLock>(sys, lock));
+      sh->history.emplace_back(cfg.history_decay);
+    }
+    // Heatmap rows: one per orec stripe, plus the elastic directory stripe
+    // (index slots_per_shard) so dir-epoch conflicts land somewhere real.
+    sh->stripe_conflicts.assign(slots + 1, 0);
     shards_.push_back(std::move(sh));
   }
 
   // The txn layer stripes orecs by slot (stripe == slot index), so any
-  // committed slot write bumps exactly the orec its readers validated.
-  // Elastic fabrics get one extra stripe per site — the DIRECTORY stripe
-  // (index slots_per_shard), bumped only by elastic_reassign. OCC writers
+  // committed slot write bumps exactly the orec its readers validated, and
+  // stripe k's orec is guarded by stripe k's lock. Elastic fabrics get one
+  // extra stripe per site — the DIRECTORY stripe (index slots_per_shard,
+  // guarded by stripe 0's lock), bumped only by elastic_reassign, which
+  // holds every stripe lock of the shard. OCC writers
   // read it per involved shard, so a directory move dooms transactions
   // speculated against the old epoch without single-key puts (which bump
   // slot stripes constantly) ever inducing a false conflict.
@@ -135,7 +152,7 @@ ShardedStore::ShardedStore(dsm::DsmSystem& sys, ShardedStoreConfig cfg)
   for (std::uint32_t s = 0; s < total_shards; ++s) {
     Shard& sh = *shards_[s];
     sh.site = txn_mgr_->add_site("svc.s" + std::to_string(s), sh.group,
-                                 sh.lock, sh.version);
+                                 sh.locks, sh.versions);
     OPTSYNC_ENSURE(sh.site == static_cast<txn::SiteId>(s));
   }
 
@@ -148,8 +165,7 @@ ShardedStore::ShardedStore(dsm::DsmSystem& sys, ShardedStoreConfig cfg)
       Shard& sh = *shards_[s];
       lease_mgr_->register_shard(s, sh.group, sh.root, sh.slot_keys,
                                  sh.slot_values,
-                                 txn_mgr_->orecs().site_vars(sh.site),
-                                 sh.version);
+                                 txn_mgr_->orecs().site_vars(sh.site));
     }
     proxies_.resize(sys.node_count());
   }
@@ -260,13 +276,7 @@ sim::Process ShardedStore::multi_put_op(
     }
   }
   if (!partial()) return multi_put_direct(n, std::move(kvs));
-  std::vector<Key> keys;
-  keys.reserve(kvs.size());
-  for (const auto& [key, value] : kvs) {
-    (void)value;
-    keys.push_back(key);
-  }
-  const ShardId primary = involved_shards(keys).front();
+  const ShardId primary = involved_shards(keys_of(kvs)).front();
   const dsm::NodeId server = shards_[primary]->root;
   const auto req = static_cast<std::uint32_t>(
       cfg_.lease.ctrl_bytes + cfg_.lease.data_bytes * kvs.size());
@@ -394,6 +404,7 @@ void ShardedStore::write_slot(Shard& sh, dsm::DsmNode& node, Key key,
 
 sim::Process ShardedStore::put_direct(dsm::NodeId n, Key key,
                                       dsm::Word value) {
+  const std::size_t slot = slot_of(key);
   for (;;) {
     const ShardId sid = map_.shard_of(key);
     Shard& sh = *shards_[sid];
@@ -406,12 +417,14 @@ sim::Process ShardedStore::put_direct(dsm::NodeId n, Key key,
         use_queue = false;
         break;
       case LockPolicy::kAdaptive: {
-        // The §4 decision, per shard: fold the lock's busyness (local copy,
-        // zero traffic) into the shard's EWMA, then pick the protocol.
-        const dsm::Word lw = sys_->node(n).read(sh.lock);
+        // The §4 decision, per stripe: fold the stripe lock's busyness
+        // (local copy, zero traffic) into the stripe's EWMA, then pick the
+        // protocol.
+        const dsm::Word lw = sys_->node(n).read(sh.locks[slot]);
         const bool busy = dsm::lock_held(lw) && !dsm::lock_granted_to(lw, n);
-        sh.history.observe(busy ? 1.0 : 0.0);
-        use_queue = sh.history.indicates_usage(cfg_.history_threshold);
+        core::UsageHistory& h = sh.history[slot];
+        h.observe(busy ? 1.0 : 0.0);
+        use_queue = h.indicates_usage(cfg_.history_threshold);
         break;
       }
     }
@@ -433,9 +446,11 @@ sim::Process ShardedStore::put_queued(Shard& sh, ShardId sid, dsm::NodeId n,
                                       Key key, dsm::Word value, bool* moved) {
   auto& sched = sys_->scheduler();
   const sim::Time started = sched.now();
-  co_await sh.queue->acquire(n).join();
+  const std::size_t slot = slot_of(key);
+  sync::GwcQueueLock& queue = *sh.queues[slot];
+  co_await queue.acquire(n).join();
   if (cfg_.elastic.enabled && map_.shard_of(key) != sid) {
-    sh.queue->release(n);
+    queue.release(n);
     *moved = true;
     co_return;
   }
@@ -443,8 +458,9 @@ sim::Process ShardedStore::put_queued(Shard& sh, ShardId sid, dsm::NodeId n,
   auto& node = sys_->node(n);
   co_await sim::delay(sched, cfg_.write_compute_ns);
   write_slot(sh, node, key, value);
-  node.write(sh.version, node.read(sh.version) + 1);
-  sh.queue->release(n);
+  const dsm::VarId ver = sh.versions[slot];
+  node.write(ver, node.read(ver) + 1);
+  queue.release(n);
   if (auto* trc = sys_->tracer()) {
     if (const auto ctx = trc->node_ctx(n); ctx.valid()) {
       trc->record_span(ctx.trace, ctx.span, telemetry::SpanKind::kCs, n,
@@ -452,8 +468,8 @@ sim::Process ShardedStore::put_queued(Shard& sh, ShardId sid, dsm::NodeId n,
     }
   }
   // The queue path feeds the same per-shard flight record the optimistic
-  // mutex feeds through Config::lock_stats, so one LockStats describes the
-  // shard lock whatever mix of protocols served it.
+  // mutexes feed through Config::lock_stats, so one LockStats describes
+  // the shard's stripe locks whatever mix of protocols served them.
   ++sh.stats.acquisitions;
   sh.stats.acquire_ns.record(static_cast<std::int64_t>(acquired - started));
   sh.stats.hold_ns.record(static_cast<std::int64_t>(sched.now() - acquired));
@@ -464,50 +480,90 @@ sim::Process ShardedStore::put_queued(Shard& sh, ShardId sid, dsm::NodeId n,
 sim::Process ShardedStore::put_optimistic(Shard& sh, ShardId sid,
                                           dsm::NodeId n, Key key,
                                           dsm::Word value, bool* moved) {
+  // The journal holds exactly what the body writes: the slot's key and
+  // value, its orec stripe (write_slot bumps it) and the stripe's version
+  // word — every save and restore costs per entry.
+  const auto slot = static_cast<std::uint32_t>(slot_of(key));
   core::Section sec;
-  sec.shared_writes.reserve(3 * cfg_.slots_per_shard + 1);
-  for (std::uint32_t k = 0; k < cfg_.slots_per_shard; ++k) {
-    sec.shared_writes.push_back(sh.slot_keys[k]);
-    sec.shared_writes.push_back(sh.slot_values[k]);
-  }
-  // write_slot also bumps the slot's orec stripe inside the body.
-  const auto& orec_vars = txn_mgr_->orecs().site_vars(sh.site);
-  sec.shared_writes.insert(sec.shared_writes.end(), orec_vars.begin(),
-                           orec_vars.end());
-  sec.shared_writes.push_back(sh.version);
-  sec.body = [this, &sh, sid, key, value,
-              moved](dsm::DsmNode& node) -> sim::Process {
+  sec.shared_writes = {sh.slot_keys[slot], sh.slot_values[slot],
+                       txn_mgr_->orecs().var(sh.site, slot),
+                       sh.versions[slot]};
+  bool wrote = false;
+  sec.body = [this, &sh, sid, slot, key, value, moved, &wrote,
+              vars = sec.shared_writes](dsm::DsmNode& node) -> sim::Process {
     // Re-checked inside the body: the section may retry after rollback,
     // and the directory can move the key during any wait. The last
     // (committed) execution's verdict is the one that sticks.
     if (cfg_.elastic.enabled && map_.shard_of(key) != sid) {
+      if (wrote) {
+        // A speculative run wrote the stripe before the key moved. Those
+        // writes were filtered at the root only if they arrived before our
+        // grant — a retransmitted one can land after it and be sequenced.
+        // Republish the rolled-back (authoritative) values under the lock
+        // so every member converges on them, not on the abandoned run.
+        for (const dsm::VarId v : vars) node.write(v, node.read(v));
+      }
       *moved = true;
       co_return;
     }
     *moved = false;
+    wrote = true;
     co_await sim::delay(sys_->scheduler(), cfg_.write_compute_ns);
     write_slot(sh, node, key, value);
-    node.write(sh.version, node.read(sh.version) + 1);
+    const dsm::VarId ver = sh.versions[slot];
+    node.write(ver, node.read(ver) + 1);
   };
-  co_await sh.mux->execute(n, std::move(sec)).join();
+  co_await sh.muxes[slot]->execute(n, std::move(sec)).join();
   if (*moved) co_return;
   ++sh.committed;
   ++sh.optimistic_ops;
 }
 
-core::MultiGroupMutex& ShardedStore::txn_mutex(
-    const std::vector<ShardId>& ids) {
-  auto it = txn_muxes_.find(ids);
-  if (it == txn_muxes_.end()) {
-    std::vector<dsm::VarId> locks;
-    locks.reserve(ids.size());
-    for (const ShardId s : ids) locks.push_back(shards_[s]->lock);
-    it = txn_muxes_
-             .emplace(ids, std::make_unique<core::MultiGroupMutex>(
-                               *sys_, std::move(locks)))
-             .first;
+ShardedStore::Footprint ShardedStore::footprint(
+    const std::vector<Key>& keys) const {
+  std::vector<std::pair<ShardId, std::uint32_t>> stripes;
+  stripes.reserve(keys.size());
+  for (const Key key : keys) {
+    OPTSYNC_EXPECT(key != 0);
+    stripes.emplace_back(map_.shard_of(key),
+                         static_cast<std::uint32_t>(slot_of(key)));
   }
-  return *it->second;
+  std::sort(stripes.begin(), stripes.end());
+  stripes.erase(std::unique(stripes.begin(), stripes.end()), stripes.end());
+  Footprint fp;
+  fp.locks.reserve(stripes.size());
+  for (const auto& [s, slot] : stripes) {
+    if (fp.ids.empty() || fp.ids.back() != s) {
+      fp.ids.push_back(s);
+      fp.low.push_back(slot);  // sorted: the shard's first is its lowest
+    }
+    fp.locks.push_back(shards_[s]->locks[slot]);
+  }
+  return fp;
+}
+
+sim::Process ShardedStore::lock_footprint(
+    dsm::NodeId n, const std::vector<Key>* keys, Footprint* fp,
+    std::unique_ptr<core::MultiGroupMutex>* mux) {
+  *fp = footprint(*keys);
+  for (;;) {
+    *mux = std::make_unique<core::MultiGroupMutex>(*sys_, fp->locks);
+    co_await (*mux)->acquire(n).join();
+    if (!cfg_.elastic.enabled) co_return;
+    Footprint now = footprint(*keys);
+    if (now.locks == fp->locks) co_return;
+    // The directory moved a key while we queued: the locks held are the
+    // wrong set. Release and chase the new owners.
+    (*mux)->release(n);
+    *fp = std::move(now);
+  }
+}
+
+void ShardedStore::bump_ledger(dsm::DsmNode& node, const Footprint& fp) {
+  for (std::size_t i = 0; i < fp.ids.size(); ++i) {
+    const dsm::VarId ver = shards_[fp.ids[i]]->versions[fp.low[i]];
+    node.write(ver, node.read(ver) + 1);
+  }
 }
 
 std::vector<ShardId> ShardedStore::involved_shards(
@@ -532,18 +588,11 @@ void ShardedStore::record_txn_flight(sim::Time started, sim::Time acquired) {
 
 sim::Process ShardedStore::multi_put_direct(
     dsm::NodeId n, std::vector<std::pair<Key, dsm::Word>> kvs) {
-  std::vector<Key> keys;
-  keys.reserve(kvs.size());
-  for (const auto& [key, value] : kvs) {
-    (void)value;
-    keys.push_back(key);
-  }
-  std::vector<ShardId> ids = involved_shards(keys);
   if (cfg_.txn.mode == TxnMode::kOcc) {
+    std::vector<ShardId> ids = involved_shards(keys_of(kvs));
     return multi_put_occ(n, std::move(kvs), std::move(ids));
   }
-  core::MultiGroupMutex& mux = txn_mutex(ids);
-  return multi_put_impl(n, std::move(kvs), std::move(ids), mux);
+  return multi_put_impl(n, std::move(kvs));
 }
 
 sim::Process ShardedStore::multi_put_occ(
@@ -553,13 +602,7 @@ sim::Process ShardedStore::multi_put_occ(
   const sim::Time started = sched.now();
   auto& cm = txn_mgr_->contention();
   std::vector<Key> keys;
-  if (cfg_.elastic.enabled) {
-    keys.reserve(kvs.size());
-    for (const auto& [key, value] : kvs) {
-      (void)value;
-      keys.push_back(key);
-    }
-  }
+  if (cfg_.elastic.enabled) keys = keys_of(kvs);
   std::uint32_t aborts = 0;
   for (;;) {
     // A directory move between attempts re-homes keys; route each attempt
@@ -572,8 +615,7 @@ sim::Process ShardedStore::multi_put_occ(
       cm.note_fallback();
       for (const ShardId s : ids) ++shards_[s]->txn_fallbacks;
       record_txn_fallback(n, ids, aborts);
-      core::MultiGroupMutex& mux = txn_mutex(ids);
-      co_await multi_put_impl(n, std::move(kvs), std::move(ids), mux).join();
+      co_await multi_put_impl(n, std::move(kvs)).join();
       co_return;
     }
     txn::Txn t;
@@ -589,7 +631,7 @@ sim::Process ShardedStore::multi_put_occ(
       for (const ShardId s : ids) {
         Shard& sh = *shards_[s];
         (void)txn_mgr_->read_word(t, sh.site, cfg_.slots_per_shard,
-                                  sh.version);
+                                  sh.versions[0]);
       }
     }
     const sim::Time spec_began = sched.now();
@@ -600,9 +642,9 @@ sim::Process ShardedStore::multi_put_occ(
                            static_cast<dsm::Word>(key));
       txn_mgr_->write_word(t, sh.site, slot, sh.slot_values[slot], value);
     }
-    co_await sim::delay(
-        sched, (cfg_.write_compute_ns + 2 * cfg_.txn.tuning.save_ns_per_var) *
-                   static_cast<sim::Duration>(kvs.size()));
+    co_await txn_mgr_->speculate_for(
+        t, (cfg_.write_compute_ns + 2 * cfg_.txn.tuning.save_ns_per_var) *
+               static_cast<sim::Duration>(kvs.size())).join();
     if (auto* trc = sys_->tracer()) {
       if (const auto ctx = trc->node_ctx(n); ctx.valid()) {
         trc->record_span(ctx.trace, ctx.span, telemetry::SpanKind::kSpeculate,
@@ -645,9 +687,7 @@ sim::Process ShardedStore::multi_rmw_direct(dsm::NodeId n,
         for (const ShardId s : ids) ++shards_[s]->txn_fallbacks;
         record_txn_fallback(n, ids, aborts);
       }
-      core::MultiGroupMutex& mux = txn_mutex(ids);
-      co_await multi_rmw_impl(n, std::move(keys), std::move(ids), mux, delta)
-          .join();
+      co_await multi_rmw_impl(n, std::move(keys), delta).join();
       co_return;
     }
     txn::Txn t;
@@ -660,7 +700,7 @@ sim::Process ShardedStore::multi_rmw_direct(dsm::NodeId n,
       for (const ShardId s : ids) {
         Shard& sh = *shards_[s];
         (void)txn_mgr_->read_word(t, sh.site, cfg_.slots_per_shard,
-                                  sh.version);
+                                  sh.versions[0]);
       }
     }
     const sim::Time spec_began = sched.now();
@@ -681,9 +721,9 @@ sim::Process ShardedStore::multi_rmw_direct(dsm::NodeId n,
       txn_mgr_->write_word(t, sh.site, slot, sh.slot_values[slot],
                            cur_val + delta);
     }
-    co_await sim::delay(
-        sched, (cfg_.write_compute_ns + 2 * cfg_.txn.tuning.save_ns_per_var) *
-                   static_cast<sim::Duration>(keys.size()));
+    co_await txn_mgr_->speculate_for(
+        t, (cfg_.write_compute_ns + 2 * cfg_.txn.tuning.save_ns_per_var) *
+               static_cast<sim::Duration>(keys.size())).join();
     if (auto* trc = sys_->tracer()) {
       if (const auto ctx = trc->node_ctx(n); ctx.valid()) {
         trc->record_span(ctx.trace, ctx.span, telemetry::SpanKind::kSpeculate,
@@ -711,25 +751,13 @@ sim::Process ShardedStore::multi_rmw_direct(dsm::NodeId n,
 }
 
 sim::Process ShardedStore::multi_rmw_impl(dsm::NodeId n, std::vector<Key> keys,
-                                          std::vector<ShardId> ids,
-                                          core::MultiGroupMutex& mux,
                                           dsm::Word delta) {
   auto& sched = sys_->scheduler();
   const sim::Time started = sched.now();
-  core::MultiGroupMutex* m = &mux;
-  for (;;) {
-    co_await m->acquire(n).join();
-    if (!cfg_.elastic.enabled) break;
-    // The irrevocable path holds the owners' locks across the compute; if
-    // the directory moved a key while we queued, release and re-acquire
-    // the correct (ascending-ordered) set — never write under the wrong
-    // shard's lock.
-    std::vector<ShardId> now_ids = involved_shards(keys);
-    if (now_ids == ids) break;
-    m->release(n);
-    ids = std::move(now_ids);
-    m = &txn_mutex(ids);
-  }
+  // The irrevocable path holds the owners' stripe locks across the compute.
+  Footprint fp;
+  std::unique_ptr<core::MultiGroupMutex> mux;
+  co_await lock_footprint(n, &keys, &fp, &mux).join();
   const sim::Time acquired = sched.now();
   auto& node = sys_->node(n);
   co_await sim::delay(
@@ -743,18 +771,15 @@ sim::Process ShardedStore::multi_rmw_impl(dsm::NodeId n, std::vector<Key> keys,
             : 0;
     write_slot(sh, node, key, cur + delta);
   }
-  for (const ShardId s : ids) {
-    Shard& sh = *shards_[s];
-    node.write(sh.version, node.read(sh.version) + 1);
-  }
-  m->release(n);
+  bump_ledger(node, fp);
+  mux->release(n);
   if (auto* trc = sys_->tracer()) {
     if (const auto ctx = trc->node_ctx(n); ctx.valid()) {
       trc->record_span(ctx.trace, ctx.span, telemetry::SpanKind::kCs, n,
                        acquired, sched.now());
     }
   }
-  for (const ShardId s : ids) ++shards_[s]->committed;
+  for (const ShardId s : fp.ids) ++shards_[s]->committed;
   record_txn_flight(started, acquired);
 }
 
@@ -768,24 +793,15 @@ sim::Process ShardedStore::multi_get_direct(
   for (;;) {
     if (cfg_.elastic.enabled) ids = involved_shards(keys);
     if (cfg_.txn.mode == TxnMode::kLegacy || cm.should_fallback(aborts)) {
-      // Irrevocable snapshot: read under every involved shard lock.
+      // Irrevocable snapshot: read under every involved stripe lock.
       if (cfg_.txn.mode == TxnMode::kOcc) {
         cm.note_fallback();
         for (const ShardId s : ids) ++shards_[s]->txn_fallbacks;
         record_txn_fallback(n, ids, aborts);
       }
-      core::MultiGroupMutex* mux = &txn_mutex(ids);
-      for (;;) {
-        co_await mux->acquire(n).join();
-        if (!cfg_.elastic.enabled) break;
-        std::vector<ShardId> now_ids = involved_shards(keys);
-        if (now_ids == ids) break;
-        // The directory moved a key while we queued: the locks held are
-        // the wrong set. Release and chase the new owners.
-        mux->release(n);
-        ids = std::move(now_ids);
-        mux = &txn_mutex(ids);
-      }
+      Footprint fp;
+      std::unique_ptr<core::MultiGroupMutex> mux;
+      co_await lock_footprint(n, &keys, &fp, &mux).join();
       out->clear();
       for (const Key key : keys) {
         out->push_back(local_get(n, key));
@@ -827,29 +843,13 @@ sim::Process ShardedStore::multi_get_direct(
 }
 
 sim::Process ShardedStore::multi_put_impl(
-    dsm::NodeId n, std::vector<std::pair<Key, dsm::Word>> kvs,
-    std::vector<ShardId> ids, core::MultiGroupMutex& mux) {
+    dsm::NodeId n, std::vector<std::pair<Key, dsm::Word>> kvs) {
   auto& sched = sys_->scheduler();
   const sim::Time started = sched.now();
-  core::MultiGroupMutex* m = &mux;
-  if (cfg_.elastic.enabled) {
-    std::vector<Key> keys;
-    keys.reserve(kvs.size());
-    for (const auto& [key, value] : kvs) {
-      (void)value;
-      keys.push_back(key);
-    }
-    for (;;) {
-      co_await m->acquire(n).join();
-      std::vector<ShardId> now_ids = involved_shards(keys);
-      if (now_ids == ids) break;
-      m->release(n);
-      ids = std::move(now_ids);
-      m = &txn_mutex(ids);
-    }
-  } else {
-    co_await m->acquire(n).join();
-  }
+  const std::vector<Key> keys = keys_of(kvs);
+  Footprint fp;
+  std::unique_ptr<core::MultiGroupMutex> mux;
+  co_await lock_footprint(n, &keys, &fp, &mux).join();
   const sim::Time acquired = sched.now();
   auto& node = sys_->node(n);
   co_await sim::delay(
@@ -857,23 +857,18 @@ sim::Process ShardedStore::multi_put_impl(
   for (const auto& [key, value] : kvs) {
     write_slot(*shards_[map_.shard_of(key)], node, key, value);
   }
-  // One version bump (and one ledger commit) per involved shard, however
-  // many of the transaction's keys landed on it.
-  for (const ShardId s : ids) {
-    Shard& sh = *shards_[s];
-    node.write(sh.version, node.read(sh.version) + 1);
-  }
-  m->release(n);
+  // One ledger bump (and one committed section) per involved shard,
+  // however many of the transaction's keys and stripes landed on it.
+  bump_ledger(node, fp);
+  mux->release(n);
   if (auto* trc = sys_->tracer()) {
     if (const auto ctx = trc->node_ctx(n); ctx.valid()) {
       trc->record_span(ctx.trace, ctx.span, telemetry::SpanKind::kCs, n,
                        acquired, sched.now());
     }
   }
-  for (const ShardId s : ids) ++shards_[s]->committed;
-  ++txn_stats_.acquisitions;
-  txn_stats_.acquire_ns.record(static_cast<std::int64_t>(acquired - started));
-  txn_stats_.hold_ns.record(static_cast<std::int64_t>(sched.now() - acquired));
+  for (const ShardId s : fp.ids) ++shards_[s]->committed;
+  record_txn_flight(started, acquired);
 }
 
 // --- elastic fabric --------------------------------------------------------
@@ -932,12 +927,15 @@ sim::Process ShardedStore::reassign_body(dsm::NodeId exec, ShardId src,
                                          std::uint64_t* moved_slots) {
   OPTSYNC_EXPECT(src != dst);
   auto& sched = sys_->scheduler();
-  std::vector<ShardId> ids{src, dst};
-  std::sort(ids.begin(), ids.end());
-  core::MultiGroupMutex& mux = txn_mutex(ids);
-  co_await mux.acquire(exec).join();
   Shard& from = *shards_[src];
   Shard& to = *shards_[dst];
+  // Every stripe lock of both shards (one lock-set request per shard,
+  // shards ascending): the move excludes every slot and directory reader
+  // of both at once, exactly as the old whole-shard locks did.
+  std::vector<dsm::VarId> locks = from.locks;
+  locks.insert(locks.end(), to.locks.begin(), to.locks.end());
+  core::MultiGroupMutex mux(*sys_, std::move(locks));
+  co_await mux.acquire(exec).join();
   auto& node = sys_->node(exec);
   std::uint64_t moved = 0;
   for (std::uint32_t slot = 0; slot < cfg_.slots_per_shard; ++slot) {
@@ -968,13 +966,14 @@ sim::Process ShardedStore::reassign_body(dsm::NodeId exec, ShardId src,
   txn_mgr_->orecs().bump(exec, from.site, cfg_.slots_per_shard);
   txn_mgr_->orecs().bump(exec, to.site, cfg_.slots_per_shard);
   // One write section per involved shard keeps the serializability ledger
-  // exact: version words move in lockstep with committed counts.
-  node.write(from.version, node.read(from.version) + 1);
-  node.write(to.version, node.read(to.version) + 1);
+  // exact: the lowest held stripe's version word (stripe 0 — the move
+  // holds them all) moves in lockstep with committed counts.
+  node.write(from.versions[0], node.read(from.versions[0]) + 1);
+  node.write(to.versions[0], node.read(to.versions[0]) + 1);
   ++from.committed;
   ++to.committed;
   // Snapshot the outgoing epoch, then install the new one — still under
-  // both shard locks, so no op ever sees a half-moved directory.
+  // both shards' locks, so no op ever sees a half-moved directory.
   map_history_.push_back(map_);
   if (map_history_.size() > kMapHistory) {
     map_history_.erase(map_history_.begin());
@@ -1056,7 +1055,7 @@ void ShardedStore::fill_report(stats::ServiceReport& report) {
     entry.sequenced = root.sequenced;
     entry.frames = root.frames;
     entry.max_frame_writes = root.max_frame_writes;
-    entry.version = sys_->node(sh.root).read(sh.version);
+    entry.version = version(s);
     entry.committed_writes = sh.committed;
     entry.root_node = sh.root;  // effective placement, post-migration
     entry.migrations = sh.migrations;
@@ -1092,7 +1091,7 @@ void ShardedStore::register_telemetry(telemetry::Sampler& sampler,
   sampler.set_help("optsync_shard_backlog",
                    "Requests issued but not yet completed, per shard");
   sampler.set_help("optsync_lock_queue",
-                   "Waiters queued on the shard's root lock");
+                   "Waiters queued on the shard's stripe locks at its root");
   sampler.set_help("optsync_frame_pending",
                    "Speculative write frames pending at the shard root");
   sampler.set_help("optsync_shard_goodput_rps",
@@ -1123,8 +1122,12 @@ void ShardedStore::register_telemetry(telemetry::Sampler& sampler,
       return static_cast<double>(issued) - static_cast<double>(completed);
     });
     sampler.add_gauge("optsync_lock_queue", labels, [this, sh] {
-      return static_cast<double>(
-          sys_->root_of(sh->group).lock_state(sh->lock).queue.size());
+      const auto& root = sys_->root_of(sh->group);
+      std::size_t waiters = 0;
+      for (const dsm::VarId l : sh->locks) {
+        waiters += root.lock_state(l).queue.size();
+      }
+      return static_cast<double>(waiters);
     });
     sampler.add_gauge("optsync_frame_pending", labels, [this, sh] {
       return static_cast<double>(sys_->root_of(sh->group).pending_writes());
@@ -1174,7 +1177,7 @@ bool ShardedStore::replicas_converged() const {
     vars.insert(vars.end(), sh.slot_values.begin(), sh.slot_values.end());
     const auto& orec_vars = txn_mgr_->orecs().site_vars(sh.site);
     vars.insert(vars.end(), orec_vars.begin(), orec_vars.end());
-    vars.push_back(sh.version);
+    vars.insert(vars.end(), sh.versions.begin(), sh.versions.end());
     for (const dsm::VarId v : vars) {
       const dsm::Word expect = sys_->node(members[0]).read(v);
       for (const dsm::NodeId m : members) {
@@ -1185,8 +1188,8 @@ bool ShardedStore::replicas_converged() const {
   return true;
 }
 
-dsm::VarId ShardedStore::lock_var(ShardId s) const {
-  return shards_.at(s)->lock;
+dsm::VarId ShardedStore::lock_var(ShardId s, std::size_t stripe) const {
+  return shards_.at(s)->locks.at(stripe);
 }
 
 dsm::GroupId ShardedStore::group_of(ShardId s) const {
@@ -1203,7 +1206,10 @@ std::uint64_t ShardedStore::committed_writes(ShardId s) const {
 
 dsm::Word ShardedStore::version(ShardId s) const {
   const Shard& sh = *shards_.at(s);
-  return sys_->node(sh.root).read(sh.version);
+  const auto& node = sys_->node(sh.root);
+  dsm::Word sum = 0;
+  for (const dsm::VarId v : sh.versions) sum += node.read(v);
+  return sum;
 }
 
 const stats::LockStats& ShardedStore::lock_stats(ShardId s) const {
@@ -1211,7 +1217,11 @@ const stats::LockStats& ShardedStore::lock_stats(ShardId s) const {
 }
 
 double ShardedStore::shard_history(ShardId s) const {
-  return shards_.at(s)->history.value();
+  double busiest = 0.0;
+  for (const auto& h : shards_.at(s)->history) {
+    busiest = std::max(busiest, h.value());
+  }
+  return busiest;
 }
 
 std::uint64_t ShardedStore::queue_path_ops(ShardId s) const {

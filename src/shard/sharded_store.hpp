@@ -5,9 +5,22 @@
 // Single-root sequencing is the GWC scaling bottleneck: every write of a
 // group funnels through one root. The store therefore creates one sharing
 // group PER SHARD, each with its own root (spread round-robin over the
-// machine so sequencing work is distributed), its own lock variable, a
-// version word, and a set of KV slots. A ShardMap routes keys to shards;
-// unrelated keys never meet a common sequencer or lock queue.
+// machine so sequencing work is distributed) and a set of KV slots. A
+// ShardMap routes keys to shards; unrelated keys never meet a common
+// sequencer.
+//
+// Stripe locks: inside a shard every slot stripe (stripe == slot == orec
+// stripe == lease stripe) has its OWN lock variable and version word, all
+// in the shard's one group — the root stays the lock manager of every
+// stripe and the GWC order stays per shard, but writes to different slots
+// no longer queue behind each other. A slot's key, value and orec, and the
+// stripe's version word, are mutex data guarded by that stripe's lock (the
+// lock is exactly as wide as the orec it protects). Multi-stripe sections
+// — OCC commits, the MultiGroupMutex fallback, elastic reassignment — send
+// one lock-set request per shard, shards ascending, so they still pay one
+// round trip per shard. The serializability ledger rule: each write section
+// bumps the version word of the LOWEST stripe it holds on each shard, and
+// version(s) sums the stripes, so it still counts committed sections.
 //
 // Replication modes (LeaseConfig::server_nodes):
 //   * full (0, the default) — every node is a member of every shard group;
@@ -21,13 +34,13 @@
 //     root node stays one instruction stream (the Fig. 4 nesting rule)
 //     however many clients forward to it.
 //
-// Per-shard lock protocol (LockPolicy):
+// Per-stripe lock protocol (LockPolicy):
 //   * kQueue      — the §2 GWC queue lock (sync::GwcQueueLock);
 //   * kOptimistic — core::OptimisticMutex, §4 speculation with the
 //     per-node EWMA gate;
-//   * kAdaptive   — a store-level per-shard core::UsageHistory observes
+//   * kAdaptive   — a store-level per-stripe core::UsageHistory observes
 //     lock busyness at every write arrival and routes the write to the
-//     queue-lock client when the shard looks contended, to the optimistic
+//     queue-lock client when the stripe looks contended, to the optimistic
 //     mutex when it looks idle.
 //
 // Multi-key transactions that cross shards run, by default, on the
@@ -36,9 +49,9 @@
 // versions, then commit under the involved shard locks held only for
 // validate+publish. Repeated aborts escalate to the irrevocable fallback —
 // the TxnMode::kLegacy path, core::MultiGroupMutex held across the whole
-// compute. Either way every involved shard's version word is bumped once,
-// so the per-shard serializability ledger stays exact across shard
-// boundaries, and every committed slot write bumps the slot's orec stripe,
+// compute. Either way every involved shard's ledger is bumped once, so the
+// per-shard serializability ledger stays exact across shard boundaries,
+// and every committed slot write bumps the slot's orec stripe,
 // which is what multi_get/multi_rmw readers — and lease epochs — validate
 // against.
 //
@@ -53,7 +66,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -183,7 +195,7 @@ struct ShardedStoreConfig {
 
   LockPolicy lock = LockPolicy::kAdaptive;
   /// Store-level adaptive gate (kAdaptive): route to the queue lock when
-  /// the shard's EWMA busyness exceeds the threshold (paper's 0.30/0.95).
+  /// the stripe's EWMA busyness exceeds the threshold (paper's 0.30/0.95).
   double history_threshold = 0.30;
   double history_decay = 0.95;
 
@@ -285,7 +297,7 @@ class ShardedStore {
   [[deprecated("use shard::Client::read")]] std::optional<dsm::Word> get(
       dsm::NodeId n, Key key) const;
 
-  /// Single-key write under the owning shard's lock.
+  /// Single-key write under the key's stripe lock.
   [[deprecated("use shard::Client::write")]] sim::Process put(
       dsm::NodeId n, Key key, dsm::Word value);
 
@@ -315,21 +327,25 @@ class ShardedStore {
 
   /// Registers live per-shard gauges/rates on `sampler`: arrival backlog
   /// (issued - completed, read from `live` — the report the generator
-  /// updates during the run), root lock-queue length, open-frame occupancy,
+  /// updates during the run), root lock-queue length (summed over the
+  /// shard's stripe locks), open-frame occupancy,
   /// goodput, plus global message/retransmit/lease rates. Both `sampler`
   /// and `live` must outlive the store's sampling window.
   void register_telemetry(telemetry::Sampler& sampler,
                           const stats::ServiceReport& live);
 
   // --- per-shard introspection (tests, benches) -------------------------
-  [[nodiscard]] dsm::VarId lock_var(ShardId s) const;
+  /// The lock variable of slot stripe `stripe` of shard `s`.
+  [[nodiscard]] dsm::VarId lock_var(ShardId s, std::size_t stripe) const;
   [[nodiscard]] dsm::GroupId group_of(ShardId s) const;
   [[nodiscard]] dsm::NodeId root_of(ShardId s) const;
   [[nodiscard]] std::uint64_t committed_writes(ShardId s) const;
-  /// Final version word, read on the shard's root node.
+  /// Final ledger: the sum of the shard's stripe version words, read on
+  /// the shard's root node.
   [[nodiscard]] dsm::Word version(ShardId s) const;
+  /// Flight record of the shard's stripe locks (one record for all).
   [[nodiscard]] const stats::LockStats& lock_stats(ShardId s) const;
-  /// Store-level adaptive-gate estimate for the shard (kAdaptive).
+  /// Store-level adaptive-gate estimate (kAdaptive): the busiest stripe's.
   [[nodiscard]] double shard_history(ShardId s) const;
   /// Writes routed to the queue-lock / optimistic client, per shard.
   [[nodiscard]] std::uint64_t queue_path_ops(ShardId s) const;
@@ -361,17 +377,19 @@ class ShardedStore {
   friend class elastic::ElasticController;
 
   struct Shard {
-    explicit Shard(double decay) : history(decay) {}
     dsm::GroupId group = 0;
     dsm::NodeId root = 0;
-    dsm::VarId lock = dsm::kNoVar;
-    dsm::VarId version = dsm::kNoVar;
+    // Per slot stripe, indexed by slot: the stripe lock (ascending VarIds,
+    // defined back to back), its ledger word, the slot's key/value vars,
+    // the two lock clients and the store-level adaptive gate.
+    std::vector<dsm::VarId> locks;
+    std::vector<dsm::VarId> versions;
     std::vector<dsm::VarId> slot_keys;
     std::vector<dsm::VarId> slot_values;
-    std::unique_ptr<core::OptimisticMutex> mux;
-    std::unique_ptr<sync::GwcQueueLock> queue;
-    core::UsageHistory history;  ///< store-level adaptive gate
-    stats::LockStats stats;
+    std::vector<std::unique_ptr<core::OptimisticMutex>> muxes;
+    std::vector<std::unique_ptr<sync::GwcQueueLock>> queues;
+    std::vector<core::UsageHistory> history;
+    stats::LockStats stats;  ///< fed by every stripe's lock clients
     std::uint64_t committed = 0;  ///< write sections finished on this shard
     std::uint64_t queue_ops = 0;
     std::uint64_t optimistic_ops = 0;
@@ -430,15 +448,36 @@ class ShardedStore {
   sim::Process multi_get_direct(dsm::NodeId n, std::vector<Key> keys,
                                 std::vector<std::optional<dsm::Word>>* out);
   sim::Process multi_put_impl(dsm::NodeId n,
-                              std::vector<std::pair<Key, dsm::Word>> kvs,
-                              std::vector<ShardId> ids,
-                              core::MultiGroupMutex& mux);
+                              std::vector<std::pair<Key, dsm::Word>> kvs);
   sim::Process multi_put_occ(dsm::NodeId n,
                              std::vector<std::pair<Key, dsm::Word>> kvs,
                              std::vector<ShardId> ids);
   sim::Process multi_rmw_impl(dsm::NodeId n, std::vector<Key> keys,
-                              std::vector<ShardId> ids,
-                              core::MultiGroupMutex& mux, dsm::Word delta);
+                              dsm::Word delta);
+
+  /// The stripe locks a multi-key section over some keys holds: every
+  /// involved (shard, slot) stripe lock, ascending — which is the global
+  /// lock order, since a shard's stripe locks are defined back to back —
+  /// plus, per involved shard, the lowest stripe held: the one whose
+  /// version word the section's ledger bump goes to.
+  struct Footprint {
+    std::vector<ShardId> ids;        ///< involved shards, ascending
+    std::vector<std::uint32_t> low;  ///< lowest stripe held on ids[i]
+    std::vector<dsm::VarId> locks;   ///< ascending
+  };
+  [[nodiscard]] Footprint footprint(const std::vector<Key>& keys) const;
+  /// Irrevocable sections: acquires the footprint of `*keys` through a
+  /// core::MultiGroupMutex (one lock-set request per shard, shards
+  /// ascending) into `*fp` / `*mux`. Elastic fabrics re-check ownership
+  /// after the grants: if the directory moved a key while we queued, the
+  /// locks are released and the new owners' acquired instead — never
+  /// write under the wrong shard's locks.
+  sim::Process lock_footprint(dsm::NodeId n, const std::vector<Key>* keys,
+                              Footprint* fp,
+                              std::unique_ptr<core::MultiGroupMutex>* mux);
+  /// The ledger bump of one write section: +1 on the lowest held stripe's
+  /// version word of every involved shard.
+  void bump_ledger(dsm::DsmNode& node, const Footprint& fp);
 
   // --- partial-replication routing --------------------------------------
   using OpThunk = std::function<sim::Process()>;
@@ -454,9 +493,6 @@ class ShardedStore {
                           std::uint32_t req_bytes, std::uint32_t reply_bytes,
                           OpThunk thunk);
 
-  /// Cached MultiGroupMutex per involved-shard set (clients are stateless
-  /// between acquisitions, so reuse is safe and keeps stats cumulative).
-  core::MultiGroupMutex& txn_mutex(const std::vector<ShardId>& ids);
   [[nodiscard]] std::vector<ShardId> involved_shards(
       const std::vector<Key>& keys) const;
   void record_txn_flight(sim::Time started, sim::Time acquired);
@@ -478,7 +514,7 @@ class ShardedStore {
   void apply_root_move(ShardId s, dsm::NodeId to);
 
   /// The two-phase directory move primitive behind split/merge/promote/
-  /// demote. Under the {src, dst} shard locks it moves every src slot
+  /// demote. Under every stripe lock of src and dst it moves every src slot
   /// whose key satisfies `pred` into dst, bumps every src orec stripe
   /// (dooming racing OCC transactions at the old epoch), commits one
   /// write section per involved shard (the ledger stays exact), snapshots
@@ -509,8 +545,6 @@ class ShardedStore {
     sim::Process tail;
   };
   std::vector<ProxySlot> proxies_;
-  std::map<std::vector<ShardId>, std::unique_ptr<core::MultiGroupMutex>>
-      txn_muxes_;
   stats::LockStats txn_stats_;
   /// Bounded history of past directory snapshots (newest last): a client
   /// whose epoch is still in history routes against its exact snapshot; an

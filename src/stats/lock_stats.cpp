@@ -23,6 +23,7 @@ void LockStats::merge(const LockStats& other) {
   speculative_attempts += other.speculative_attempts;
   speculative_commits += other.speculative_commits;
   rollbacks += other.rollbacks;
+  journaled_vars += other.journaled_vars;
   history_allows += other.history_allows;
   history_vetoes += other.history_vetoes;
   root_speculative_drops += other.root_speculative_drops;
@@ -46,6 +47,7 @@ void LockStats::write_json(JsonWriter& w) const {
       .value("speculative_commits", speculative_commits)
       .value("rollbacks", rollbacks)
       .value("commit_rate", commit_rate())
+      .value("journaled_vars", journaled_vars)
       .value("history_allows", history_allows)
       .value("history_vetoes", history_vetoes)
       .value("root_speculative_drops", root_speculative_drops);

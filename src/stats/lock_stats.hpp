@@ -32,6 +32,10 @@ struct LockStats {
   std::uint64_t speculative_attempts = 0;  ///< sections begun speculatively
   std::uint64_t speculative_commits = 0;   ///< speculation survived to commit
   std::uint64_t rollbacks = 0;             ///< speculation undone mid-section
+  /// Shared variables journaled (saved before speculating), summed over
+  /// speculative attempts: / speculative_attempts = mean section size, the
+  /// per-entry save and restore cost's multiplier.
+  std::uint64_t journaled_vars = 0;
 
   // EWMA usage-history gate decisions at section entry.
   std::uint64_t history_allows = 0;  ///< predicted free -> went optimistic

@@ -2,7 +2,7 @@
 //
 // One ServiceReport describes one service run: per-shard request counts and
 // latency distributions tagged by operation class (read / write / txn),
-// the shard lock's flight record (stats::LockStats), the shard root's
+// the shard's lock flight record (stats::LockStats), the shard root's
 // sequencing/frame rollup, and the per-shard serializability ledger
 // (final version word vs. writes committed under the lock — the
 // counter-exactness invariant, per shard).
@@ -68,8 +68,8 @@ struct ShardServiceStats {
     return ops[static_cast<std::size_t>(o)];
   }
 
-  /// The shard lock's flight record (acquire/hold percentiles, speculation
-  /// ledger). Filled by ShardedStore.
+  /// The flight record of the shard's stripe locks (acquire/hold
+  /// percentiles, speculation ledger). Filled by ShardedStore.
   LockStats lock;
 
   // --- root rollup (GroupRoot::Stats excerpt) -------------------------

@@ -16,29 +16,9 @@ GwcQueueLock::GwcQueueLock(dsm::DsmSystem& sys, dsm::VarId lock)
 }
 
 sim::Process GwcQueueLock::acquire(dsm::NodeId n) {
-  auto& node = sys_->node(n);
-  OPTSYNC_EXPECT(!held_by(n));  // no nested acquisition
   const sim::Time requested = sys_->scheduler().now();
-
-  // Open a lock-wait umbrella span and hang the request's wire/queue legs
-  // under it: the atomic_exchange below ships the request synchronously, so
-  // repointing the node's context parent just around it is safe.
-  auto* trc = sys_->tracer();
-  telemetry::SpanContext octx =
-      trc != nullptr ? trc->node_ctx(n) : telemetry::SpanContext{};
-  telemetry::SpanId wait_span = 0;
-  if (trc != nullptr && octx.valid()) {
-    wait_span = trc->start_span(octx.trace, octx.span,
-                                telemetry::SpanKind::kLockWait, n, requested);
-    trc->set_node_parent(n, wait_span);
-  }
-  node.atomic_exchange(lock_, lock_request_value(n));
-  if (wait_span != 0) trc->set_node_parent(n, octx.span);
-  while (node.read(lock_) != lock_grant_value(n)) {
-    co_await node.on_change(lock_).wait();
-  }
-  if (wait_span != 0) trc->end_span(wait_span, sys_->scheduler().now());
-
+  co_await acquire_lock_set(*sys_, n, std::vector<dsm::VarId>(1, lock_))
+      .join();
   const sim::Duration waited = sys_->scheduler().now() - requested;
   ++stats_.acquisitions;
   stats_.total_wait_ns += waited;
@@ -46,13 +26,58 @@ sim::Process GwcQueueLock::acquire(dsm::NodeId n) {
 }
 
 void GwcQueueLock::release(dsm::NodeId n) {
-  OPTSYNC_EXPECT(held_by(n));
-  sys_->node(n).write(lock_, dsm::kLockFree);
+  release_lock_set(*sys_, n, {lock_});
   ++stats_.releases;
 }
 
 bool GwcQueueLock::held_by(dsm::NodeId n) const {
   return sys_->node(n).read(lock_) == lock_grant_value(n);
+}
+
+namespace {
+sim::Process acquire_lock_set_impl(dsm::DsmSystem& sys, dsm::NodeId n,
+                                   std::vector<dsm::VarId> locks) {
+  auto& node = sys.node(n);
+  auto* trc = sys.tracer();
+  const telemetry::SpanContext octx =
+      trc != nullptr ? trc->node_ctx(n) : telemetry::SpanContext{};
+  telemetry::SpanId wait_span = 0;
+  if (trc != nullptr && octx.valid()) {
+    wait_span = trc->start_span(octx.trace, octx.span,
+                                telemetry::SpanKind::kLockWait, n,
+                                sys.scheduler().now());
+    trc->set_node_parent(n, wait_span);
+  }
+  node.write_lock_set(locks, lock_request_value(n));
+  if (wait_span != 0) trc->set_node_parent(n, octx.span);
+  // Grants arrive in ascending order, so waiting lock by lock costs no
+  // more than waiting for the last one.
+  for (const dsm::VarId l : locks) {
+    while (node.read(l) != lock_grant_value(n)) {
+      co_await node.on_change(l).wait();
+    }
+  }
+  if (wait_span != 0) trc->end_span(wait_span, sys.scheduler().now());
+}
+}  // namespace
+
+sim::Process acquire_lock_set(dsm::DsmSystem& sys, dsm::NodeId n,
+                              std::vector<dsm::VarId> locks) {
+  // Validated synchronously — a coroutine would capture the violation in a
+  // failed Process instead of throwing to the caller.
+  OPTSYNC_EXPECT(sys.group(sys.check_lock_set(locks)).contains(n));
+  for (const dsm::VarId l : locks) {
+    OPTSYNC_EXPECT(sys.node(n).read(l) != lock_grant_value(n));  // no nesting
+  }
+  return acquire_lock_set_impl(sys, n, std::move(locks));
+}
+
+void release_lock_set(dsm::DsmSystem& sys, dsm::NodeId n,
+                      const std::vector<dsm::VarId>& locks) {
+  for (const dsm::VarId l : locks) {
+    OPTSYNC_EXPECT(sys.node(n).read(l) == lock_grant_value(n));
+  }
+  sys.node(n).write_lock_set(locks, dsm::kLockFree);
 }
 
 }  // namespace optsync::sync

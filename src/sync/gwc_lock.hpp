@@ -13,6 +13,8 @@
 // Section is available.
 #pragma once
 
+#include <vector>
+
 #include "dsm/system.hpp"
 #include "simkern/coro.hpp"
 #include "sync/lock.hpp"
@@ -50,5 +52,20 @@ class GwcQueueLock : public Lock {
   dsm::VarId lock_;
   LockStatsView stats_;
 };
+
+/// Lock-set acquisition: requests every lock of `locks` — all in one
+/// group, strictly ascending VarId — for node `n` with ONE message to the
+/// group root, which grants them in order and queues the requester at the
+/// first busy lock (dsm::GroupRoot::on_lock_set). Completes when every
+/// grant has reached the node's local memory. GwcQueueLock is the one-lock
+/// form of this client. Use as:
+///   co_await sync::acquire_lock_set(sys, n, locks).join();
+sim::Process acquire_lock_set(dsm::DsmSystem& sys, dsm::NodeId n,
+                              std::vector<dsm::VarId> locks);
+
+/// Releases a held lock set with one message (must follow the holder's
+/// last data write, like GwcQueueLock::release).
+void release_lock_set(dsm::DsmSystem& sys, dsm::NodeId n,
+                      const std::vector<dsm::VarId>& locks);
 
 }  // namespace optsync::sync

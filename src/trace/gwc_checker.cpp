@@ -27,20 +27,23 @@ void GwcChecker::on_event(const Event& e) {
       s.is_lock = e.label == "lock";
       s.is_mutex_data = e.label == "mutex-data";
       // Rule 4: a mutex-data write reaching the sequencer must come from
-      // the current lock holder; anything else is a speculative write
-      // about to become visible to the whole group.
+      // the current holder of its guard lock; anything else is a
+      // speculative write about to become visible to the whole group.
       if (s.is_mutex_data) {
-        if (!g.lock_held) {
+        const auto h = g.holders.find(e.guard);
+        if (h == g.holders.end()) {
           std::ostringstream o;
           o << "group " << e.group << " seq " << e.seq
             << ": mutex-data write to var " << e.var << " from node "
-            << e.origin << " sequenced while the lock is free";
+            << e.origin << " sequenced while the lock is free (guard var "
+            << e.guard << ")";
           violation(o.str());
-        } else if (e.origin != g.holder) {
+        } else if (e.origin != h->second) {
           std::ostringstream o;
           o << "group " << e.group << " seq " << e.seq
-            << ": speculative mutex-data write from node " << e.origin
-            << " sequenced while node " << g.holder << " holds the lock";
+            << ": speculative mutex-data write to var " << e.var
+            << " from node " << e.origin << " sequenced while node "
+            << h->second << " holds the lock (guard var " << e.guard << ")";
           violation(o.str());
         }
       }
@@ -49,11 +52,9 @@ void GwcChecker::on_event(const Event& e) {
         // positive = grant (holder encoded), kLockFree = release settled,
         // negative = request (no ownership change).
         if (dsm::lock_held(e.value)) {
-          g.lock_held = true;
-          g.holder = dsm::lock_holder(e.value);
+          g.holders[e.var] = dsm::lock_holder(e.value);
         } else if (e.value == dsm::kLockFree) {
-          g.lock_held = false;
-          g.holder = ~0u;
+          g.holders.erase(e.var);
         }
       }
       g.by_seq[e.seq] = s;

@@ -14,8 +14,11 @@
 //      hardware blocking dropped its own mutex-data echo — i.e. the skipped
 //      write is mutex-data originated by that very member.
 //   4. No speculative visibility: every sequenced mutex-data write was
-//      originated by the node holding the guard lock at sequencing time
-//      (tracked from the sequenced lock-word values themselves).
+//      originated by the node holding ITS OWN guard lock at sequencing
+//      time. Holders are tracked per lock variable from the sequenced
+//      lock-word values themselves, so a group with several locks (one
+//      per slot stripe) is checked stripe by stripe: holding a neighbour
+//      stripe's lock does not license the write.
 //
 // Attach with install(): the checker registers a streaming sink on the
 // recorder, so it sees every event even if the ring later evicts it.
@@ -61,8 +64,7 @@ class GwcChecker {
   struct GroupState {
     std::map<std::uint64_t, Sequenced> by_seq;
     std::map<std::uint32_t, std::uint64_t> last_applied;  // node -> seq
-    bool lock_held = false;
-    std::uint32_t holder = ~0u;
+    std::map<std::uint32_t, std::uint32_t> holders;       // lock -> node
   };
 
   void violation(std::string msg);

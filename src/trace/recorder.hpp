@@ -62,6 +62,9 @@ struct Event {
   std::uint64_t seq = 0;
   std::int64_t value = 0;
   std::uint32_t origin = ~0u;
+  /// kRootSequence of a mutex-data write: the datum's guard lock variable
+  /// (~0u otherwise) — what the GWC checker filters the write against.
+  std::uint32_t guard = ~0u;
   std::string_view label;
 };
 

@@ -11,12 +11,14 @@ OrecTable::OrecTable(dsm::DsmSystem& sys, std::uint32_t stripes)
 }
 
 SiteId OrecTable::add_site(const std::string& name, dsm::GroupId g,
-                           dsm::VarId lock) {
+                           const std::vector<dsm::VarId>& locks) {
+  OPTSYNC_EXPECT(!locks.empty());
   std::vector<dsm::VarId> vars;
   vars.reserve(stripes_);
   for (std::uint32_t k = 0; k < stripes_; ++k) {
-    vars.push_back(sys_->define_mutex_data(name + ".orec" + std::to_string(k),
-                                           g, lock, 0));
+    vars.push_back(sys_->define_mutex_data(
+        name + ".orec" + std::to_string(k), g,
+        locks[stripe_lock_index(k, locks.size())], 0));
   }
   vars_.push_back(std::move(vars));
   return static_cast<SiteId>(vars_.size() - 1);

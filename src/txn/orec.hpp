@@ -2,14 +2,14 @@
 //
 // Classic STM orec design (orec-eager / OCC commit protocols) mapped onto
 // the paper's DSM substrate: every registered site (one sharing group with
-// its own root and lock — a shard of the service layer) carries a fixed
-// number of version stripes. Each stripe is an ordinary eagerly shared
-// mutex-data variable guarded by the site's lock, so
+// its own root — a shard of the service layer) carries a fixed number of
+// version stripes. Each stripe is an ordinary eagerly shared mutex-data
+// variable guarded by its stripe lock (stripe_lock_index), so
 //
 //   * READING an orec is a local memory read on any member — optimistic
 //     read versioning costs zero network traffic;
 //   * BUMPING an orec is a sequenced group write issued while holding the
-//     site lock, so the bump rides the same GWC coalesced frames as the
+//     stripe's lock, so the bump rides the same GWC coalesced frames as the
 //     data it versions. Grant-follows-data then gives validation its
 //     teeth: once a committer's lock grant has applied locally, every
 //     orec bump sequenced before that grant has applied too, so the local
@@ -17,7 +17,7 @@
 //
 // An orec's word value is a pure version counter (no lock bit — write
 // locking is encounter-time at the transaction layer via clobber
-// interrupts, and commit-time exclusion comes from the site lock). Every
+// interrupts, and commit-time exclusion comes from the stripe locks). Every
 // committed write to a stripe, transactional or single-key, must bump the
 // stripe exactly once.
 #pragma once
@@ -32,6 +32,14 @@ namespace optsync::txn {
 
 using SiteId = std::uint32_t;
 
+/// Which of a site's `locks` stripe locks guards orec `stripe`: stripe k
+/// by lock k; stripes past the lock list — the elastic directory stripe,
+/// or every stripe of a one-lock site — by lock 0.
+constexpr std::size_t stripe_lock_index(std::uint32_t stripe,
+                                        std::size_t locks) {
+  return stripe < locks ? stripe : 0;
+}
+
 class OrecTable {
  public:
   /// `stripes` orecs are defined per added site.
@@ -41,8 +49,10 @@ class OrecTable {
   OrecTable& operator=(const OrecTable&) = delete;
 
   /// Defines the site's orec stripe variables ("<name>.orec<k>") in group
-  /// `g`, guarded by `lock`. Returns the new site's id (dense, 0-based).
-  SiteId add_site(const std::string& name, dsm::GroupId g, dsm::VarId lock);
+  /// `g`, stripe k guarded by locks[stripe_lock_index(k, locks.size())].
+  /// Returns the new site's id (dense, 0-based).
+  SiteId add_site(const std::string& name, dsm::GroupId g,
+                  const std::vector<dsm::VarId>& locks);
 
   [[nodiscard]] std::uint32_t stripes() const { return stripes_; }
   [[nodiscard]] std::uint32_t sites() const {
@@ -63,7 +73,7 @@ class OrecTable {
                                   std::uint32_t stripe) const;
 
   /// Sequenced +1 bump issued from node `n`. The caller must hold the
-  /// site's lock or the root will filter the write as speculative.
+  /// stripe's lock or the root will filter the write as speculative.
   void bump(dsm::NodeId n, SiteId site, std::uint32_t stripe);
 
  private:

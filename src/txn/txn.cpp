@@ -14,15 +14,21 @@ TxnManager::TxnManager(dsm::DsmSystem& sys, TxnConfig cfg)
       cm_(sys, cfg.contention) {}
 
 SiteId TxnManager::add_site(const std::string& name, dsm::GroupId g,
-                            dsm::VarId lock, dsm::VarId version) {
-  OPTSYNC_EXPECT(sys_->var(lock).kind == dsm::VarKind::kLock);
-  const SiteId id = orecs_.add_site(name, g, lock);
-  Site site;
-  site.group = g;
-  site.lock = lock;
-  site.version = version;
-  site.client = std::make_unique<sync::GwcQueueLock>(*sys_, lock);
-  sites_.push_back(std::move(site));
+                            std::vector<dsm::VarId> locks,
+                            std::vector<dsm::VarId> versions) {
+  OPTSYNC_EXPECT(!locks.empty());
+  OPTSYNC_EXPECT(versions.size() == locks.size());
+  for (std::size_t i = 0; i < locks.size(); ++i) {
+    OPTSYNC_EXPECT(sys_->var(locks[i]).kind == dsm::VarKind::kLock);
+    OPTSYNC_EXPECT(sys_->var(locks[i]).group == g);
+    OPTSYNC_EXPECT(i == 0 || locks[i - 1] < locks[i]);
+  }
+  for (const Site& other : sites_) {
+    OPTSYNC_EXPECT(locks.back() < other.locks.front() ||
+                   locks.front() > other.locks.back());
+  }
+  const SiteId id = orecs_.add_site(name, g, locks);
+  sites_.push_back(Site{g, std::move(locks), std::move(versions)});
   OPTSYNC_ENSURE(static_cast<SiteId>(sites_.size() - 1) == id);
   return id;
 }
@@ -70,7 +76,7 @@ void TxnManager::arm_clobber(Txn& t, SiteId site, std::uint32_t stripe,
         // restore image (an abort must converge on it, not on the stale
         // pre-image). Whether the clobber KILLS us depends on what we did
         // with the variable: a blind write survives (our publish will
-        // overwrite it under the site locks — strict two-phase locking at
+        // overwrite it under the stripe locks — strict two-phase locking at
         // commit keeps write-write races serializable), but a clobber on a
         // stripe this transaction READ dooms it — the speculation is built
         // on a value that is no longer the group's state. (Self-echoes
@@ -95,6 +101,11 @@ void TxnManager::arm_clobber(Txn& t, SiteId site, std::uint32_t stripe,
                 txn.doom_site = site;
                 txn.doom_stripe = stripe;
                 txn.doom_origin = origin;
+                // Cut short any speculative compute in flight.
+                if (const auto sig = doom_signals_.find(n);
+                    sig != doom_signals_.end()) {
+                  sig->second->notify_all();
+                }
               }
               break;
             }
@@ -130,6 +141,26 @@ void TxnManager::write_word(Txn& t, SiteId site, std::uint32_t stripe,
       t.write_sites.end()) {
     t.write_sites.push_back(site);
   }
+}
+
+sim::Signal& TxnManager::doom_signal(dsm::NodeId n) {
+  auto& slot = doom_signals_[n];
+  if (!slot) slot = std::make_unique<sim::Signal>(sys_->scheduler());
+  return *slot;
+}
+
+sim::Process TxnManager::speculate_for(Txn& t, sim::Duration d) {
+  OPTSYNC_EXPECT(t.active);
+  if (t.doomed || d == 0) co_return;
+  auto& sched = sys_->scheduler();
+  sim::Signal& sig = doom_signal(t.node);
+  bool elapsed = false;
+  const sim::EventId timer = sched.after(d, [&sig, &elapsed] {
+    elapsed = true;
+    sig.notify_all();
+  });
+  while (!elapsed && !t.doomed) co_await sig.wait();
+  if (!elapsed) sched.cancel(timer);
 }
 
 void TxnManager::note_doom_conflict(const Txn& t, CommitResult* out) {
@@ -170,15 +201,37 @@ sim::Process TxnManager::commit(Txn& t, CommitResult* out) {
 
   // Canonical lock order: ascending lock VarId — the same global order
   // MultiGroupMutex acquires in, so the optimistic commit path and the
-  // irrevocable fallback can never deadlock against each other.
-  std::vector<SiteId> order = t.write_sites;
-  std::sort(order.begin(), order.end(), [this](SiteId a, SiteId b) {
-    return sites_[a].lock < sites_[b].lock;
-  });
-  for (const SiteId s : order) {
-    co_await sites_[s].client->acquire(t.node).join();
+  // irrevocable fallback can never deadlock against each other. Each
+  // write-site's stripe locks go out as ONE lock-set request (site lock
+  // ranges never interleave, so per-site sets in site order ARE the
+  // ascending order).
+  struct SiteSet {
+    SiteId site;
+    std::vector<dsm::VarId> locks;  ///< ascending
+    std::size_t low;                ///< lowest lock index held (ledger)
+  };
+  std::vector<SiteSet> sets;
+  sets.reserve(t.write_sites.size());
+  for (const SiteId s : t.write_sites) {
+    const Site& site = sites_[s];
+    std::vector<std::size_t> idx;
+    for (const auto& [ws, stripe] : t.write_stripes) {
+      if (ws == s) idx.push_back(stripe_lock_index(stripe, site.locks.size()));
+    }
+    std::sort(idx.begin(), idx.end());
+    idx.erase(std::unique(idx.begin(), idx.end()), idx.end());
+    SiteSet set{s, {}, idx.front()};
+    set.locks.reserve(idx.size());
+    for (const std::size_t i : idx) set.locks.push_back(site.locks[i]);
+    sets.push_back(std::move(set));
   }
-  out->locks_acquired_at = order.empty() ? 0 : sched.now();
+  std::sort(sets.begin(), sets.end(), [](const SiteSet& a, const SiteSet& b) {
+    return a.locks.front() < b.locks.front();
+  });
+  for (const SiteSet& set : sets) {
+    co_await sync::acquire_lock_set(*sys_, t.node, set.locks).join();
+  }
+  out->locks_acquired_at = sets.empty() ? 0 : sched.now();
 
   // Validate. Grant-follows-data: with every write lock held, all orec
   // bumps sequenced before our grants have applied locally, so the local
@@ -218,19 +271,19 @@ sim::Process TxnManager::commit(Txn& t, CommitResult* out) {
 
   if (ok) {
     // Publish through the normal sequenced path: we hold every involved
-    // site lock, so the roots accept the writes and GWC carries them (and
-    // the orec/ledger bumps behind them) to every member in one order.
+    // stripe lock, so the roots accept the writes and GWC carries them
+    // (and the orec/ledger bumps behind them) to every member in one order.
     for (const auto& u : t.undo) node.write(u.var, u.after);
     for (const auto& [site, stripe] : t.write_stripes) {
       orecs_.bump(t.node, site, stripe);
     }
-    for (const SiteId s : t.write_sites) {
-      const dsm::VarId ver = sites_[s].version;
-      if (ver != dsm::kNoVar) node.write(ver, node.read(ver) + 1);
+    for (const SiteSet& set : sets) {
+      const dsm::VarId ver = sites_[set.site].versions[set.low];
+      node.write(ver, node.read(ver) + 1);
     }
   }
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    sites_[*it].client->release(t.node);
+  for (auto it = sets.rbegin(); it != sets.rend(); ++it) {
+    sync::release_lock_set(*sys_, t.node, it->locks);
   }
 
   if (ok) {

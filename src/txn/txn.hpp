@@ -22,21 +22,25 @@
 //     depends on the conflict kind (encounter-time detection): a clobber
 //     on a stripe the transaction READ kills it — its speculation is
 //     built on superseded state — while a blind write survives, because
-//     the commit republishes the whole write-set under the site locks
+//     the commit republishes the whole write-set under the stripe locks
 //     (strict two-phase locking at commit keeps write-write races
 //     serializable: the loser's update is simply ordered first).
 //
-//   COMMIT — site locks of the write-set are acquired in canonical order
-//     (ascending lock VarId — the same global order MultiGroupMutex
+//   COMMIT — the stripe locks of the write-set are acquired in canonical
+//     order (ascending lock VarId — the same global order MultiGroupMutex
 //     uses, so the optimistic and fallback paths are jointly
-//     deadlock-free). Once every grant has applied locally, GWC's
-//     grant-follows-data property makes the local orec replicas exactly
-//     the owning roots' view, so read-set validation is a local compare
-//     of each observed orec version ("validation at the root" by proxy).
+//     deadlock-free), as ONE lock-set request per site: the site root
+//     grants the set in ascending stripe order, so a commit pays one
+//     round trip per site however many stripes it writes there. Once
+//     every grant has applied locally, GWC's grant-follows-data property
+//     makes the local replicas of the locked orec stripes exactly the
+//     owning roots' view, so read-set validation is a local compare of
+//     each observed orec version ("validation at the root" by proxy).
 //     On success the write-set is published through the normal sequenced
 //     write path (the root's coalesced frames), the touched orec stripes
-//     and each write-site's version ledger are bumped under the same
-//     locks, and the locks release in reverse order. On failure the
+//     and each write-site's version ledger (the word of the LOWEST stripe
+//     lock held there) are bumped under the same locks, and the lock sets
+//     release in reverse order. On failure the
 //     locks release, the undo log restores each entry's current image
 //     (the pre-image, or the clobbering commit's value), and the caller
 //     consults the ContentionManager for backoff or irrevocable-fallback
@@ -44,7 +48,7 @@
 //     WITHOUT touching any lock — it lost the race, so it must not add
 //     hold time to the locks the winner's readers are queued on.
 //
-// Read-set entries on sites whose lock the commit does not hold are
+// Read-set entries on stripes whose lock the commit does not hold are
 // validated against the local orec replica, which may trail that site's
 // root by a propagation delay — the classic OCC validation window.
 // Transactions whose read set is covered by their write locks (e.g. the
@@ -133,12 +137,18 @@ class TxnManager {
   TxnManager(const TxnManager&) = delete;
   TxnManager& operator=(const TxnManager&) = delete;
 
-  /// Registers a site: one sharing group whose lock serializes commits
-  /// touching it. Defines the site's orec stripes in `g`. `version`, when
-  /// not kNoVar, is the site's serializability ledger word — commit bumps
-  /// it once per committing write-site, under the site lock.
-  SiteId add_site(const std::string& name, dsm::GroupId g, dsm::VarId lock,
-                  dsm::VarId version = dsm::kNoVar);
+  /// Registers a site: one sharing group whose stripe locks serialize
+  /// commits touching it. Defines the site's orec stripes in `g`. `locks`
+  /// (strictly ascending, all in `g`) guard the stripes per
+  /// stripe_lock_index; a one-lock site serializes every commit on it.
+  /// `versions` (one per lock, versions[i] guarded by locks[i]) is the
+  /// site's serializability ledger: commit bumps the word of the lowest
+  /// lock it holds on each committing write-site, so their sum counts
+  /// commits. Lock ranges of distinct sites must not interleave (one
+  /// lock-set request per site must stay in the global ascending order).
+  SiteId add_site(const std::string& name, dsm::GroupId g,
+                  std::vector<dsm::VarId> locks,
+                  std::vector<dsm::VarId> versions);
 
   [[nodiscard]] const TxnConfig& config() const { return cfg_; }
   [[nodiscard]] OrecTable& orecs() { return orecs_; }
@@ -146,8 +156,8 @@ class TxnManager {
   [[nodiscard]] std::uint32_t sites() const {
     return static_cast<std::uint32_t>(sites_.size());
   }
-  [[nodiscard]] dsm::VarId site_lock(SiteId s) const {
-    return sites_.at(s).lock;
+  [[nodiscard]] const std::vector<dsm::VarId>& site_locks(SiteId s) const {
+    return sites_.at(s).locks;
   }
 
   // --- transaction lifecycle -------------------------------------------
@@ -170,6 +180,12 @@ class TxnManager {
   /// abort; further speculation is wasted work).
   void write_word(Txn& t, SiteId site, std::uint32_t stripe, dsm::VarId v,
                   dsm::Word value);
+
+  /// Speculative compute of `d` ns on t's node that ends early the moment
+  /// a clobber dooms `t` — the §4 interrupt semantics: a failed
+  /// speculation stops at the interrupt instead of finishing work the
+  /// abort will discard. Use as: co_await mgr.speculate_for(t, d).join();
+  sim::Process speculate_for(Txn& t, sim::Duration d);
 
   struct CommitResult {
     bool committed = false;
@@ -209,12 +225,14 @@ class TxnManager {
  private:
   struct Site {
     dsm::GroupId group = 0;
-    dsm::VarId lock = dsm::kNoVar;
-    dsm::VarId version = dsm::kNoVar;
-    std::unique_ptr<sync::GwcQueueLock> client;
+    std::vector<dsm::VarId> locks;     ///< stripe locks, ascending
+    std::vector<dsm::VarId> versions;  ///< ledger words, one per lock
   };
 
   void arm_clobber(Txn& t, SiteId site, std::uint32_t stripe, dsm::VarId v);
+  /// Per-node wake-up for speculate_for: notified when the node's
+  /// transaction is doomed.
+  sim::Signal& doom_signal(dsm::NodeId n);
   static void note_doom_conflict(const Txn& t, CommitResult* out);
   void finish(Txn& t);
   sim::Process abort_impl(Txn& t);
@@ -225,6 +243,7 @@ class TxnManager {
   ContentionManager cm_;
   std::vector<Site> sites_;
   std::unordered_map<dsm::NodeId, Txn*> active_;
+  std::unordered_map<dsm::NodeId, std::unique_ptr<sim::Signal>> doom_signals_;
   std::uint64_t begun_ = 0;
   std::uint64_t commits_ = 0;
   std::uint64_t aborts_ = 0;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "dsm/system.hpp"
 #include "simkern/assert.hpp"
 
@@ -190,6 +193,113 @@ TEST_F(GroupRootTest, GrantFollowsReleasersDataInGroupOrder) {
   ASSERT_NE(data_pos, -1);
   ASSERT_NE(grant_pos, -1);
   EXPECT_LT(data_pos, grant_pos);
+}
+
+// Lock sets: several stripe locks of one group requested in one message.
+class LockSetTest : public ::testing::Test {
+ protected:
+  // Coalescing on, so "one frame per arrival" is observable (at the
+  // default cap of 1 every sequenced write is its own frame).
+  static DsmConfig coalescing() {
+    DsmConfig c;
+    c.coalesce_max_writes = 64;
+    return c;
+  }
+  LockSetTest() : topo_(5), sys_(sched_, topo_, coalescing()) {
+    group_ = sys_.create_group({0, 1, 2, 3, 4}, 2);
+    for (int k = 0; k < 4; ++k) {
+      locks_.push_back(sys_.define_lock("l" + std::to_string(k), group_));
+    }
+  }
+  GroupRoot& root() { return sys_.root_of(group_); }
+  NodeId holder(std::size_t k) { return root().lock_state(locks_[k]).holder; }
+
+  sim::Scheduler sched_;
+  net::FullyConnected topo_;
+  DsmSystem sys_;
+  GroupId group_ = 0;
+  std::vector<VarId> locks_;
+};
+
+TEST_F(LockSetTest, LocksGetDenseIndicesPerGroup) {
+  for (std::size_t k = 0; k < locks_.size(); ++k) {
+    EXPECT_EQ(sys_.var(locks_[k]).lock_index, k);
+  }
+  EXPECT_EQ(sys_.lock_count(group_), 4u);
+  const GroupId other = sys_.create_group({0, 1}, 0);
+  EXPECT_EQ(sys_.var(sys_.define_lock("o", other)).lock_index, 0u);
+}
+
+TEST_F(LockSetTest, FreeSetGrantedInOneFrame) {
+  sys_.node(3).write_lock_set({locks_[0], locks_[2], locks_[3]},
+                              lock_request_value(3));
+  sched_.run();
+  EXPECT_EQ(holder(0), 3u);
+  EXPECT_EQ(holder(1), kNoNode);
+  EXPECT_EQ(holder(2), 3u);
+  EXPECT_EQ(holder(3), 3u);
+  EXPECT_EQ(root().stats().lock_set_requests, 1u);
+  EXPECT_EQ(root().stats().frames, 1u);  // three grants, one multicast
+  EXPECT_EQ(sys_.node(0).read(locks_[2]), lock_grant_value(3));
+  sys_.node(3).write_lock_set({locks_[0], locks_[2], locks_[3]}, kLockFree);
+  sched_.run();
+  for (std::size_t k = 0; k < 4; ++k) EXPECT_EQ(holder(k), kNoNode);
+  EXPECT_EQ(sys_.node(4).read(locks_[3]), kLockFree);
+}
+
+TEST_F(LockSetTest, SetQueuesAtFirstBusyLockAndResumesOnHandOver) {
+  sys_.node(1).write(locks_[2], lock_request_value(1));
+  sched_.run();
+  // Node 3 wants {0, 2, 3}: 0 is free, 2 is busy — 3 must stay ungranted
+  // (ascending order: never hold a higher lock while waiting for a lower).
+  sys_.node(3).write_lock_set({locks_[0], locks_[2], locks_[3]},
+                              lock_request_value(3));
+  sched_.run();
+  EXPECT_EQ(holder(0), 3u);
+  EXPECT_EQ(holder(2), 1u);
+  EXPECT_EQ(holder(3), kNoNode);
+  ASSERT_EQ(root().lock_state(locks_[2]).queue.size(), 1u);
+  // Meanwhile node 4 takes lock 3 (still free at the root).
+  sys_.node(4).write(locks_[3], lock_request_value(4));
+  sched_.run();
+  EXPECT_EQ(holder(3), 4u);
+  // Lock 2 handed over: the set resumes and queues again at lock 3.
+  sys_.node(1).write(locks_[2], kLockFree);
+  sched_.run();
+  EXPECT_EQ(holder(2), 3u);
+  EXPECT_EQ(holder(3), 4u);
+  EXPECT_EQ(root().lock_state(locks_[3]).queue.size(), 1u);
+  sys_.node(4).write(locks_[3], kLockFree);
+  sched_.run();
+  EXPECT_EQ(holder(3), 3u);
+  for (const std::size_t k : {0u, 2u, 3u}) {
+    EXPECT_EQ(sys_.node(0).read(locks_[k]), lock_grant_value(3)) << k;
+  }
+}
+
+TEST_F(LockSetTest, SetReleaseHandsEveryLockToItsWaiter) {
+  sys_.node(3).write_lock_set({locks_[1], locks_[2]}, lock_request_value(3));
+  sched_.run();
+  sys_.node(0).write(locks_[1], lock_request_value(0));
+  sys_.node(4).write(locks_[2], lock_request_value(4));
+  sched_.run();
+  const auto frames = root().stats().frames;
+  sys_.node(3).write_lock_set({locks_[1], locks_[2]}, kLockFree);
+  sched_.run();
+  EXPECT_EQ(holder(1), 0u);
+  EXPECT_EQ(holder(2), 4u);
+  EXPECT_EQ(root().stats().frames, frames + 1);  // both grants, one frame
+}
+
+TEST_F(LockSetTest, SetAcrossGroupsRejected) {
+  const GroupId other = sys_.create_group({0, 1, 2}, 0);
+  const VarId foreign = sys_.define_lock("f", other);
+  EXPECT_THROW(sys_.node(1).write_lock_set({locks_[0], foreign},
+                                           lock_request_value(1)),
+               ContractViolation);
+  EXPECT_THROW(sys_.node(1).write_lock_set({locks_[2], locks_[1]},
+                                           lock_request_value(1)),
+               ContractViolation);  // not ascending
 }
 
 }  // namespace

@@ -13,6 +13,8 @@
 #include "dsm/system.hpp"
 #include "shard/client.hpp"
 #include "shard/shard_map.hpp"
+#include "trace/gwc_checker.hpp"
+#include "trace/recorder.hpp"
 
 namespace optsync::shard {
 namespace {
@@ -118,9 +120,9 @@ TEST(ShardMap, RangeKeepsNeighbouringKeysTogether) {
 // --------------------------------------------------------- ShardedStore ---
 
 struct Fixture {
-  explicit Fixture(ShardedStoreConfig cfg = {})
+  explicit Fixture(ShardedStoreConfig cfg = {}, dsm::DsmConfig dcfg = {})
       : topo(net::MeshTorus2D::near_square(8)),
-        sys(sched, topo, dsm::DsmConfig{}),
+        sys(sched, topo, dcfg),
         store(sys, cfg),
         client(store) {}
   sim::Scheduler sched;
@@ -344,6 +346,158 @@ TEST(ShardedStore, DeprecatedShimsStillServe) {
   EXPECT_TRUE(f.store.replicas_converged());
 }
 #pragma GCC diagnostic pop
+
+// ---------------------------------------------------------- stripe locks ---
+
+/// Keys of shard `s` grouped by slot stripe, scanning 1..limit.
+std::vector<std::vector<Key>> keys_by_stripe(const ShardedStore& store,
+                                             ShardId s, Key limit = 2'000) {
+  std::vector<std::vector<Key>> by(store.config().slots_per_shard);
+  for (Key k = 1; k <= limit; ++k) {
+    if (store.shard_of(k) == s) by[store.slot_of(k)].push_back(k);
+  }
+  return by;
+}
+
+sim::Process timed_write(Fixture& f, dsm::NodeId n, Key k, sim::Time* done) {
+  co_await f.client.write(n, k, 7).join();
+  *done = f.sched.now();
+}
+
+/// Two queue-path puts issued at t = 0 from two nodes; returns the later
+/// completion. The section compute (50 us) dwarfs every wire leg, so
+/// serialized sections finish >= 100 us, overlapping ones well before.
+sim::Time two_put_makespan(Key a, Key b) {
+  ShardedStoreConfig cfg;
+  cfg.shards = 1;
+  cfg.lock = LockPolicy::kQueue;
+  cfg.write_compute_ns = 50'000;
+  Fixture f(cfg);
+  sim::Time da = 0;
+  sim::Time db = 0;
+  auto pa = timed_write(f, 1, a, &da);
+  auto pb = timed_write(f, 2, b, &db);
+  f.sched.run();
+  pa.rethrow_if_failed();
+  pb.rethrow_if_failed();
+  EXPECT_EQ(f.store.version(0), 2);
+  EXPECT_TRUE(f.store.replicas_converged());
+  return std::max(da, db);
+}
+
+TEST(StripeLocks, PutsToDifferentStripesOfOneShardOverlap) {
+  ShardedStoreConfig cfg;
+  cfg.shards = 1;
+  Fixture probe(cfg);
+  const auto by = keys_by_stripe(probe.store, 0);
+  ASSERT_GE(by[0].size(), 2u);
+  ASSERT_FALSE(by[1].empty());
+  // Different stripes: both sections run at once.
+  EXPECT_LT(two_put_makespan(by[0][0], by[1][0]), 80'000u);
+  // Same stripe: the second section waits for the first.
+  EXPECT_GE(two_put_makespan(by[0][0], by[0][1]), 100'000u);
+}
+
+/// Counts lock-word messages node `n` sends up the tree.
+struct LockUpCounter {
+  explicit LockUpCounter(dsm::DsmSystem& sys, dsm::NodeId n) {
+    sys.network().add_trace_observer([this, n](const net::MessageTrace& t) {
+      if (t.src == n && t.tag == "lock-up") ++count;
+    });
+  }
+  std::uint64_t count = 0;
+};
+
+TEST(StripeLocks, CommitOnTwoStripesSendsOneLockSetRequest) {
+  for (const TxnMode mode : {TxnMode::kOcc, TxnMode::kLegacy}) {
+    ShardedStoreConfig cfg;
+    cfg.shards = 2;
+    cfg.txn.mode = mode;
+    Fixture f(cfg);
+    const auto by = keys_by_stripe(f.store, 0);
+    ASSERT_GE(by[2].size(), 2u);
+    ASSERT_GE(by[5].size(), 2u);
+    LockUpCounter ups(f.sys, 3);
+    TxnRequest req;
+    req.puts = {{by[2][0], 1}, {by[2][1], 2}, {by[5][0], 3}, {by[5][1], 4}};
+    auto p = f.client.txn(3, std::move(req));
+    f.sched.run();
+    p.rethrow_if_failed();
+    const auto& root = f.sys.root_of(f.store.group_of(0));
+    // One request message for both stripes, one release message.
+    EXPECT_EQ(root.stats().lock_set_requests, 1u) << txn_mode_name(mode);
+    EXPECT_EQ(ups.count, 2u) << txn_mode_name(mode);
+    std::uint64_t requests = 0;
+    for (std::size_t k = 0; k < cfg.slots_per_shard; ++k) {
+      requests += root.lock_state(f.store.lock_var(0, k)).requests;
+    }
+    EXPECT_EQ(requests, 2u);
+    EXPECT_EQ(root.lock_state(f.store.lock_var(0, 2)).holder, dsm::kNoNode);
+    EXPECT_EQ(root.lock_state(f.store.lock_var(0, 5)).holder, dsm::kNoNode);
+    // The ledger counts the one section once, on the lowest stripe held.
+    EXPECT_EQ(f.store.version(0), 1);
+    EXPECT_EQ(f.store.committed_writes(0), 1u);
+    EXPECT_EQ(f.sys.node(0).read(f.store.lock_var(0, 2)), dsm::kLockFree);
+    EXPECT_TRUE(f.store.replicas_converged());
+  }
+}
+
+TEST(StripeLocks, OptimisticPutJournalsOnlyItsStripe) {
+  // A speculative put saves the slot key, value, orec and the stripe's
+  // version word — four entries, whatever the shard's width.
+  ShardedStoreConfig cfg;
+  cfg.shards = 1;
+  cfg.slots_per_shard = 32;
+  cfg.lock = LockPolicy::kOptimistic;
+  Fixture f(cfg);
+  auto p = put_batch(f, 2, {1, 2, 3, 4, 5}, 0);
+  f.sched.run();
+  p.rethrow_if_failed();
+  const auto& ls = f.store.lock_stats(0);
+  EXPECT_EQ(ls.speculative_attempts, 5u);
+  EXPECT_EQ(ls.journaled_vars, 4u * ls.speculative_attempts);
+  EXPECT_EQ(f.store.version(0), 5);
+}
+
+TEST(StripeLocks, ContendedStripesKeepLedgerAndGwcExact) {
+  // Every node hammers a mix of shared and private stripes under every
+  // lock policy; writes and multi-stripe txns interleave. The per-shard
+  // ledger (sum of stripe version words) must equal committed sections,
+  // and every mutex-data write must be sequenced under its own stripe's
+  // lock (GwcChecker rule 4, per lock variable).
+  for (const LockPolicy policy :
+       {LockPolicy::kQueue, LockPolicy::kOptimistic, LockPolicy::kAdaptive}) {
+    ShardedStoreConfig cfg;
+    cfg.shards = 2;
+    cfg.lock = policy;
+    trace::Recorder rec(1 << 10);
+    trace::GwcChecker checker;
+    checker.install(rec);
+    dsm::DsmConfig dcfg;
+    dcfg.recorder = &rec;
+    Fixture f(cfg, dcfg);
+    std::vector<sim::Process> procs;
+    for (dsm::NodeId n = 0; n < 8; ++n) {
+      if (n % 2 == 0) {
+        procs.push_back(txn_batch(f, n, 5));
+      } else {
+        std::vector<Key> keys;
+        for (Key k = 1; k <= 10; ++k) keys.push_back(k * 3 + n);
+        procs.push_back(put_batch(f, n, std::move(keys), n * 100));
+      }
+    }
+    f.sched.run();
+    for (auto& p : procs) p.rethrow_if_failed();
+    for (ShardId s = 0; s < 2; ++s) {
+      EXPECT_EQ(f.store.version(s),
+                static_cast<dsm::Word>(f.store.committed_writes(s)))
+          << lock_policy_name(policy) << " shard " << s;
+    }
+    EXPECT_TRUE(f.store.replicas_converged()) << lock_policy_name(policy);
+    EXPECT_TRUE(checker.ok()) << checker.report();
+    EXPECT_GT(checker.writes_checked(), 0u);
+  }
+}
 
 }  // namespace
 }  // namespace optsync::shard

@@ -381,7 +381,7 @@ TEST(GwcChecker, AcceptsAContendedCounterRun) {
 
 Event sequenced(std::uint32_t group, std::uint64_t seq, std::uint32_t var,
                 std::int64_t value, std::uint32_t origin,
-                std::string_view label) {
+                std::string_view label, std::uint32_t guard = ~0u) {
   Event e;
   e.kind = EventKind::kRootSequence;
   e.group = group;
@@ -389,6 +389,7 @@ Event sequenced(std::uint32_t group, std::uint64_t seq, std::uint32_t var,
   e.var = var;
   e.value = value;
   e.origin = origin;
+  e.guard = guard;
   e.label = label;
   return e;
 }
@@ -455,7 +456,7 @@ TEST(GwcChecker, AcceptsGapFromOwnMutexDataEcho) {
   c.on_event(sequenced(0, 1, 9, grant3, 3, "lock"));
   c.on_event(applied(0, 1, 3, 9, grant3, 3, "lock"));
   // Node 3's own mutex-data write: sequenced, then echo-blocked locally.
-  c.on_event(sequenced(0, 2, 7, 10, 3, "mutex-data"));
+  c.on_event(sequenced(0, 2, 7, 10, 3, "mutex-data", 9));
   c.on_event(sequenced(0, 3, 9, dsm::kLockFree, 3, "lock"));
   c.on_event(applied(0, 3, 3, 9, dsm::kLockFree, 3, "lock"));  // skips seq 2
   EXPECT_TRUE(c.ok()) << c.report();
@@ -466,16 +467,35 @@ TEST(GwcChecker, RejectsSpeculativeWriteSequencedForNonHolder) {
   // Lock granted to node 2; then a mutex-data write from node 5 is
   // sequenced — the root failed to filter a speculative write.
   c.on_event(sequenced(0, 1, 9, dsm::lock_grant_value(2), 2, "lock"));
-  c.on_event(sequenced(0, 2, 7, 42, 5, "mutex-data"));
+  c.on_event(sequenced(0, 2, 7, 42, 5, "mutex-data", 9));
   EXPECT_FALSE(c.ok());
   EXPECT_NE(c.report().find("holds the lock"), std::string::npos);
 }
 
 TEST(GwcChecker, RejectsMutexDataSequencedWhileLockFree) {
   GwcChecker c;
-  c.on_event(sequenced(0, 1, 7, 42, 5, "mutex-data"));  // no grant ever
+  c.on_event(sequenced(0, 1, 7, 42, 5, "mutex-data", 9));  // no grant ever
   EXPECT_FALSE(c.ok());
   EXPECT_NE(c.report().find("lock is free"), std::string::npos);
+}
+
+TEST(GwcChecker, RejectsMutexDataSequencedUnderAnotherStripesLock) {
+  // Two stripe locks in one group (vars 9 and 10) guarding var 7 and var
+  // 8. Node 5 holds stripe 10 only; a write to var 7 (guarded by 9) is
+  // sequenced — the root failed to filter against the datum's own guard.
+  GwcChecker c;
+  c.on_event(sequenced(0, 1, 10, dsm::lock_grant_value(5), 5, "lock"));
+  c.on_event(sequenced(0, 2, 8, 1, 5, "mutex-data", 10));  // own stripe: ok
+  EXPECT_TRUE(c.ok()) << c.report();
+  c.on_event(sequenced(0, 3, 7, 42, 5, "mutex-data", 9));
+  EXPECT_FALSE(c.ok());
+  EXPECT_NE(c.report().find("lock is free (guard var 9)"), std::string::npos);
+  // Stripe 9 held by node 2: node 5's write is speculative, not licensed
+  // by its stripe-10 grant.
+  c.on_event(sequenced(0, 4, 9, dsm::lock_grant_value(2), 2, "lock"));
+  c.on_event(sequenced(0, 5, 7, 43, 5, "mutex-data", 9));
+  EXPECT_NE(c.report().find("node 2 holds the lock (guard var 9)"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -37,7 +37,7 @@ struct Fixture {
     TxnConfig cfg;
     cfg.orec_stripes = 4;
     mgr = std::make_unique<TxnManager>(sys, cfg);
-    site = mgr->add_site("site", g, lock, ver);
+    site = mgr->add_site("site", g, {lock}, {ver});
   }
   sim::Scheduler sched;
   net::MeshTorus2D topo;
