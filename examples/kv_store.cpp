@@ -62,7 +62,6 @@ int main() {
   shard::ShardedStoreConfig cfg;
   cfg.shards = kShards;
   cfg.slots_per_shard = 4;
-  cfg.lock = shard::LockPolicy::kOptimistic;  // pure §4 speculation
   cfg.root_stride = 2;  // spread roots (lock managers) across the machine
   shard::ShardedStore store(sys, cfg);
   shard::Client kv(store);

@@ -91,10 +91,7 @@ ShardedStore::ShardedStore(dsm::DsmSystem& sys, ShardedStoreConfig cfg)
     // Full replication: directory moves execute on a reserved control node
     // (one instruction stream per node — the Fig. 4 rule); callers must
     // keep regular traffic off it. Partial mode uses proxy chains instead.
-    control_node_ = cfg.elastic.control_node == dsm::kNoNode
-                        ? members.back()
-                        : cfg.elastic.control_node;
-    OPTSYNC_EXPECT(control_node_ < sys.node_count());
+    control_node_ = members.back();
   }
 
   shards_.reserve(total_shards);
@@ -114,8 +111,6 @@ ShardedStore::ShardedStore(dsm::DsmSystem& sys, ShardedStoreConfig cfg)
     }
     sh->stats.name = base + ".lock";
     core::OptimisticMutex::Config mcfg;
-    mcfg.history_threshold = cfg.history_threshold;
-    mcfg.history_decay = cfg.history_decay;
     mcfg.lock_stats = &sh->stats;
     for (std::uint32_t k = 0; k < slots; ++k) {
       const std::string slot = base + ".k" + std::to_string(k);
@@ -128,8 +123,6 @@ ShardedStore::ShardedStore(dsm::DsmSystem& sys, ShardedStoreConfig cfg)
           sys.define_mutex_data(slot + ".val", sh->group, lock, 0));
       sh->muxes.push_back(
           std::make_unique<core::OptimisticMutex>(sys, lock, mcfg));
-      sh->queues.push_back(std::make_unique<sync::GwcQueueLock>(sys, lock));
-      sh->history.emplace_back(cfg.history_decay);
     }
     // Heatmap rows: one per orec stripe, plus the elastic directory stripe
     // (index slots_per_shard) so dir-epoch conflicts land somewhere real.
@@ -169,20 +162,6 @@ ShardedStore::ShardedStore(dsm::DsmSystem& sys, ShardedStoreConfig cfg)
     }
     proxies_.resize(sys.node_count());
   }
-
-  if (cfg.coalesce.max_writes != 0 || cfg.coalesce.max_ns >= 0) {
-    const auto& base = sys.config();
-    const std::uint32_t mw = cfg.coalesce.max_writes != 0
-                                 ? cfg.coalesce.max_writes
-                                 : base.coalesce_max_writes;
-    const sim::Duration mn =
-        cfg.coalesce.max_ns >= 0
-            ? static_cast<sim::Duration>(cfg.coalesce.max_ns)
-            : base.coalesce_max_ns;
-    for (auto& shp : shards_) {
-      sys.root_of(shp->group).set_coalesce(mw, mn);
-    }
-  }
 }
 
 std::size_t ShardedStore::slot_of(Key key) const {
@@ -202,34 +181,6 @@ std::optional<dsm::Word> ShardedStore::local_get(dsm::NodeId n,
     return node.read(sh.slot_values[slot]);
   }
   return std::nullopt;
-}
-
-std::optional<dsm::Word> ShardedStore::get(dsm::NodeId n, Key key) const {
-  // Pre-Client shim. It predates partial replication, so it requires a
-  // member node — a client has no replica to read; use Client::read.
-  OPTSYNC_EXPECT(is_member(n));
-  return local_get(n, key);
-}
-
-sim::Process ShardedStore::put(dsm::NodeId n, Key key, dsm::Word value) {
-  return write_op(n, key, value);
-}
-
-sim::Process ShardedStore::multi_put(
-    dsm::NodeId n, std::vector<std::pair<Key, dsm::Word>> kvs) {
-  return multi_put_op(n, std::move(kvs));
-}
-
-sim::Process ShardedStore::multi_rmw(dsm::NodeId n, std::vector<Key> keys,
-                                     dsm::Word delta) {
-  return multi_rmw_op(n, std::move(keys), delta);
-}
-
-sim::Process ShardedStore::multi_get(
-    dsm::NodeId n, std::vector<Key> keys,
-    std::vector<std::optional<dsm::Word>>* out) {
-  return multi_get_op(n, std::move(keys), out,
-                      ConsistencyLevel::kLinearizable);
 }
 
 // --- Client entry points ---------------------------------------------------
@@ -389,7 +340,7 @@ sim::Process ShardedStore::forward_op(dsm::NodeId n, ShardId primary,
   while (!rv->done) co_await rv->sig.wait();
 }
 
-// --- lock-policy write path ------------------------------------------------
+// --- single-key write path -------------------------------------------------
 
 void ShardedStore::write_slot(Shard& sh, dsm::DsmNode& node, Key key,
                               dsm::Word value) {
@@ -404,77 +355,17 @@ void ShardedStore::write_slot(Shard& sh, dsm::DsmNode& node, Key key,
 
 sim::Process ShardedStore::put_direct(dsm::NodeId n, Key key,
                                       dsm::Word value) {
-  const std::size_t slot = slot_of(key);
   for (;;) {
     const ShardId sid = map_.shard_of(key);
     Shard& sh = *shards_[sid];
-    bool use_queue = false;
-    switch (cfg_.lock) {
-      case LockPolicy::kQueue:
-        use_queue = true;
-        break;
-      case LockPolicy::kOptimistic:
-        use_queue = false;
-        break;
-      case LockPolicy::kAdaptive: {
-        // The §4 decision, per stripe: fold the stripe lock's busyness
-        // (local copy, zero traffic) into the stripe's EWMA, then pick the
-        // protocol.
-        const dsm::Word lw = sys_->node(n).read(sh.locks[slot]);
-        const bool busy = dsm::lock_held(lw) && !dsm::lock_granted_to(lw, n);
-        core::UsageHistory& h = sh.history[slot];
-        h.observe(busy ? 1.0 : 0.0);
-        use_queue = h.indicates_usage(cfg_.history_threshold);
-        break;
-      }
-    }
     bool moved = false;
-    if (use_queue) {
-      co_await put_queued(sh, sid, n, key, value, &moved).join();
-    } else {
-      co_await put_optimistic(sh, sid, n, key, value, &moved).join();
-    }
+    co_await put_optimistic(sh, sid, n, key, value, &moved).join();
     if (!moved) co_return;
     // The directory reassigned the key between routing and lock grant: the
     // acquired lock was the wrong shard's and nothing was written. Count
     // the re-route against the old owner and retry at the new one.
     ++sh.redirects;
   }
-}
-
-sim::Process ShardedStore::put_queued(Shard& sh, ShardId sid, dsm::NodeId n,
-                                      Key key, dsm::Word value, bool* moved) {
-  auto& sched = sys_->scheduler();
-  const sim::Time started = sched.now();
-  const std::size_t slot = slot_of(key);
-  sync::GwcQueueLock& queue = *sh.queues[slot];
-  co_await queue.acquire(n).join();
-  if (cfg_.elastic.enabled && map_.shard_of(key) != sid) {
-    queue.release(n);
-    *moved = true;
-    co_return;
-  }
-  const sim::Time acquired = sched.now();
-  auto& node = sys_->node(n);
-  co_await sim::delay(sched, cfg_.write_compute_ns);
-  write_slot(sh, node, key, value);
-  const dsm::VarId ver = sh.versions[slot];
-  node.write(ver, node.read(ver) + 1);
-  queue.release(n);
-  if (auto* trc = sys_->tracer()) {
-    if (const auto ctx = trc->node_ctx(n); ctx.valid()) {
-      trc->record_span(ctx.trace, ctx.span, telemetry::SpanKind::kCs, n,
-                       acquired, sched.now());
-    }
-  }
-  // The queue path feeds the same per-shard flight record the optimistic
-  // mutexes feed through Config::lock_stats, so one LockStats describes
-  // the shard's stripe locks whatever mix of protocols served them.
-  ++sh.stats.acquisitions;
-  sh.stats.acquire_ns.record(static_cast<std::int64_t>(acquired - started));
-  sh.stats.hold_ns.record(static_cast<std::int64_t>(sched.now() - acquired));
-  ++sh.committed;
-  ++sh.queue_ops;
 }
 
 sim::Process ShardedStore::put_optimistic(Shard& sh, ShardId sid,
@@ -514,9 +405,7 @@ sim::Process ShardedStore::put_optimistic(Shard& sh, ShardId sid,
     node.write(ver, node.read(ver) + 1);
   };
   co_await sh.muxes[slot]->execute(n, std::move(sec)).join();
-  if (*moved) co_return;
-  ++sh.committed;
-  ++sh.optimistic_ops;
+  if (!*moved) ++sh.committed;
 }
 
 ShardedStore::Footprint ShardedStore::footprint(
@@ -1214,22 +1103,6 @@ dsm::Word ShardedStore::version(ShardId s) const {
 
 const stats::LockStats& ShardedStore::lock_stats(ShardId s) const {
   return shards_.at(s)->stats;
-}
-
-double ShardedStore::shard_history(ShardId s) const {
-  double busiest = 0.0;
-  for (const auto& h : shards_.at(s)->history) {
-    busiest = std::max(busiest, h.value());
-  }
-  return busiest;
-}
-
-std::uint64_t ShardedStore::queue_path_ops(ShardId s) const {
-  return shards_.at(s)->queue_ops;
-}
-
-std::uint64_t ShardedStore::optimistic_path_ops(ShardId s) const {
-  return shards_.at(s)->optimistic_ops;
 }
 
 std::uint64_t ShardedStore::txn_commits(ShardId s) const {

@@ -34,14 +34,10 @@
 //     root node stays one instruction stream (the Fig. 4 nesting rule)
 //     however many clients forward to it.
 //
-// Per-stripe lock protocol (LockPolicy):
-//   * kQueue      — the §2 GWC queue lock (sync::GwcQueueLock);
-//   * kOptimistic — core::OptimisticMutex, §4 speculation with the
-//     per-node EWMA gate;
-//   * kAdaptive   — a store-level per-stripe core::UsageHistory observes
-//     lock busyness at every write arrival and routes the write to the
-//     queue-lock client when the stripe looks contended, to the optimistic
-//     mutex when it looks idle.
+// Per-stripe lock protocol: every single-key write runs through the
+// stripe's core::OptimisticMutex (the Fig. 4 transformation). Each node's
+// own usage history picks §4 speculation or the §2 queue protocol, so a
+// lone writer speculates and a contended stripe falls back to queueing.
 //
 // Multi-key transactions that cross shards run, by default, on the
 // optimistic txn::TxnManager layer (TxnConfig::mode == TxnMode::kOcc):
@@ -56,8 +52,7 @@
 // against.
 //
 // The operation surface lives on shard::Client (shard/client.hpp):
-// read/write/txn with an explicit ConsistencyLevel. The get/put/multi_*
-// methods below are the pre-Client API, kept as thin deprecated shims.
+// read/write/txn with an explicit ConsistencyLevel.
 //
 // Concurrency contract: operations on one node must not overlap (a node
 // models one instruction stream — the Fig. 4 nesting rule). load::Generator
@@ -73,14 +68,12 @@
 
 #include "core/multi_group_mutex.hpp"
 #include "core/optimistic_mutex.hpp"
-#include "core/usage_history.hpp"
 #include "dsm/system.hpp"
 #include "shard/lease.hpp"
 #include "shard/shard_map.hpp"
 #include "simkern/coro.hpp"
 #include "stats/lock_stats.hpp"
 #include "stats/service_report.hpp"
-#include "sync/gwc_lock.hpp"
 #include "telemetry/sampler.hpp"
 #include "txn/txn.hpp"
 
@@ -94,19 +87,10 @@ namespace optsync::shard {
 
 class Client;
 
-enum class LockPolicy { kQueue, kOptimistic, kAdaptive };
-
-constexpr std::string_view lock_policy_name(LockPolicy p) {
-  switch (p) {
-    case LockPolicy::kQueue:
-      return "queue";
-    case LockPolicy::kOptimistic:
-      return "optimistic";
-    case LockPolicy::kAdaptive:
-      return "adaptive";
-  }
-  return "?";
-}
+/// The store never reads this: every stripe runs the OptimisticMutex
+/// (see the header comment). It survives only because benchmark code
+/// assigns ShardedStoreConfig::lock; drop both together.
+enum class LockPolicy { kAdaptive };
 
 /// How cross-shard multi-key operations commit.
 enum class TxnMode { kOcc, kLegacy };
@@ -147,8 +131,7 @@ constexpr std::string_view consistency_level_name(ConsistencyLevel c) {
   return "?";
 }
 
-/// Cross-shard transaction commit configuration (nested — replaces the
-/// old flat `txn_mode` + `txn` fields).
+/// Cross-shard transaction commit configuration.
 struct TxnConfig {
   /// kOcc speculates outside the locks and holds them only for
   /// validate+publish; kLegacy holds every involved lock across the whole
@@ -161,14 +144,6 @@ struct TxnConfig {
   txn::TxnConfig tuning;
 };
 
-/// Per-store override of the roots' coalescing knobs. Defaults inherit
-/// the DsmConfig values untouched (the adaptive controller can still
-/// retune per shard at runtime either way).
-struct CoalesceConfig {
-  std::uint32_t max_writes = 0;  ///< 0 = inherit DsmConfig
-  std::int64_t max_ns = -1;      ///< < 0 = inherit DsmConfig
-};
-
 /// Elastic control-plane knobs (src/elastic/). Off by default: the fabric
 /// is exactly the static store — no hot groups, no directory mutation, no
 /// extra read-set entries on blind OCC puts.
@@ -178,12 +153,6 @@ struct ElasticConfig {
   /// pinned to one gets a private sequencer and lock — the "one-stripe
   /// group" of hot-key routing.
   std::uint32_t hot_groups = 2;
-  /// Full replication only: the node directory moves execute on. It must
-  /// not run regular traffic (one instruction stream per node — keep it
-  /// out of the generator's node span); defaults to the last member.
-  /// Partial replication routes moves through the destination root's
-  /// proxy chain instead and ignores this.
-  dsm::NodeId control_node = dsm::kNoNode;
 };
 
 struct ShardedStoreConfig {
@@ -193,17 +162,12 @@ struct ShardedStoreConfig {
   /// Range policy: the striped key domain [0, key_space).
   Key key_space = 1024;
 
-  LockPolicy lock = LockPolicy::kAdaptive;
-  /// Store-level adaptive gate (kAdaptive): route to the queue lock when
-  /// the stripe's EWMA busyness exceeds the threshold (paper's 0.30/0.95).
-  double history_threshold = 0.30;
-  double history_decay = 0.95;
+  LockPolicy lock = LockPolicy::kAdaptive;  ///< unread; see LockPolicy
 
   /// In-section compute per write (hash + slot scan).
   sim::Duration write_compute_ns = 800;
 
   TxnConfig txn;
-  CoalesceConfig coalesce;
   /// Replication mode + leased read-replica tier (shard/lease.hpp).
   LeaseConfig lease;
 
@@ -257,7 +221,11 @@ class ShardedStore {
   // --- versioned directory (elastic fabric) -------------------------------
   /// True when the elastic control plane is configured.
   [[nodiscard]] bool elastic() const { return cfg_.elastic.enabled; }
-  /// Full replication: the reserved mover node (kNoNode when not elastic).
+  /// Full replication: the reserved mover node directory moves execute on
+  /// — the last member, which must not run regular traffic (one
+  /// instruction stream per node). kNoNode when not elastic or partial:
+  /// partial replication routes moves through the destination root's
+  /// proxy chain instead.
   [[nodiscard]] dsm::NodeId control_node() const { return control_node_; }
   /// Current directory epoch (== ShardMap::version of the live map).
   /// Clients snapshot this and compare on every routed op.
@@ -291,29 +259,6 @@ class ShardedStore {
     access_observer_ = std::move(fn);
   }
 
-  // --- pre-Client API (deprecated shims) ---------------------------------
-  /// Local read on node `n`. Full replication only — partial-replication
-  /// reads need a consistency level; use shard::Client::read.
-  [[deprecated("use shard::Client::read")]] std::optional<dsm::Word> get(
-      dsm::NodeId n, Key key) const;
-
-  /// Single-key write under the key's stripe lock.
-  [[deprecated("use shard::Client::write")]] sim::Process put(
-      dsm::NodeId n, Key key, dsm::Word value);
-
-  /// Multi-key atomic write.
-  [[deprecated("use shard::Client::txn")]] sim::Process multi_put(
-      dsm::NodeId n, std::vector<std::pair<Key, dsm::Word>> kvs);
-
-  /// Multi-key read-modify-write (+= delta; absent keys start at 0).
-  [[deprecated("use shard::Client::txn")]] sim::Process multi_rmw(
-      dsm::NodeId n, std::vector<Key> keys, dsm::Word delta);
-
-  /// Multi-key consistent snapshot.
-  [[deprecated("use shard::Client::txn")]] sim::Process multi_get(
-      dsm::NodeId n, std::vector<Key> keys,
-      std::vector<std::optional<dsm::Word>>* out);
-
   // --- end-of-run rollup -------------------------------------------------
   /// Fills the lock/root/ledger/lease side of `report` (resizing its shard
   /// list if needed): per-shard LockStats, root sequencing/frame rollup,
@@ -345,11 +290,6 @@ class ShardedStore {
   [[nodiscard]] dsm::Word version(ShardId s) const;
   /// Flight record of the shard's stripe locks (one record for all).
   [[nodiscard]] const stats::LockStats& lock_stats(ShardId s) const;
-  /// Store-level adaptive-gate estimate (kAdaptive): the busiest stripe's.
-  [[nodiscard]] double shard_history(ShardId s) const;
-  /// Writes routed to the queue-lock / optimistic client, per shard.
-  [[nodiscard]] std::uint64_t queue_path_ops(ShardId s) const;
-  [[nodiscard]] std::uint64_t optimistic_path_ops(ShardId s) const;
   /// Whole-chain flight record of cross-shard transactions ("svc.txn").
   [[nodiscard]] const stats::LockStats& txn_stats() const {
     return txn_stats_;
@@ -381,18 +321,14 @@ class ShardedStore {
     dsm::NodeId root = 0;
     // Per slot stripe, indexed by slot: the stripe lock (ascending VarIds,
     // defined back to back), its ledger word, the slot's key/value vars,
-    // the two lock clients and the store-level adaptive gate.
+    // and the stripe's one lock client.
     std::vector<dsm::VarId> locks;
     std::vector<dsm::VarId> versions;
     std::vector<dsm::VarId> slot_keys;
     std::vector<dsm::VarId> slot_values;
     std::vector<std::unique_ptr<core::OptimisticMutex>> muxes;
-    std::vector<std::unique_ptr<sync::GwcQueueLock>> queues;
-    std::vector<core::UsageHistory> history;
-    stats::LockStats stats;  ///< fed by every stripe's lock clients
+    stats::LockStats stats;  ///< fed by every stripe's mutex
     std::uint64_t committed = 0;  ///< write sections finished on this shard
-    std::uint64_t queue_ops = 0;
-    std::uint64_t optimistic_ops = 0;
     txn::SiteId site = 0;  ///< this shard's site in the txn layer
     std::uint64_t txn_commits = 0;
     std::uint64_t txn_aborts = 0;
@@ -432,13 +368,11 @@ class ShardedStore {
   [[nodiscard]] std::optional<dsm::Word> local_get(dsm::NodeId n,
                                                    Key key) const;
   void write_slot(Shard& sh, dsm::DsmNode& node, Key key, dsm::Word value);
-  /// The LockPolicy dispatch, executing on node `n` (full mode: the
-  /// caller's node; partial mode: the shard root's, via its proxy chain).
+  /// Single-key write executing on node `n` (full mode: the caller's
+  /// node; partial mode: the shard root's, via its proxy chain).
   sim::Process put_direct(dsm::NodeId n, Key key, dsm::Word value);
   /// `moved` is set (and nothing written) when the directory reassigned
   /// the key between routing and lock acquisition — put_direct re-routes.
-  sim::Process put_queued(Shard& sh, ShardId sid, dsm::NodeId n, Key key,
-                          dsm::Word value, bool* moved);
   sim::Process put_optimistic(Shard& sh, ShardId sid, dsm::NodeId n, Key key,
                               dsm::Word value, bool* moved);
   sim::Process multi_put_direct(dsm::NodeId n,

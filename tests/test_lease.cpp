@@ -78,15 +78,12 @@ TEST(LeaseConfigDefaults, FullReplicationNeverBuildsTheTier) {
 }
 
 TEST(LeaseConfigDefaults, NestedConfigDefaultsMatchTheSeedLayout) {
-  // The nested TxnConfig / CoalesceConfig / LeaseConfig blocks must
-  // default to exactly the pre-refactor flat behavior: OCC commits,
-  // coalescing inherited from DsmConfig, full replication with the tier
-  // off. test_determinism proves the resulting runs are byte-identical;
-  // this pins the values the fingerprint depends on.
+  // The nested TxnConfig / LeaseConfig blocks must default to OCC commits
+  // and full replication with the tier off. test_determinism proves the
+  // resulting runs are byte-identical; this pins the values the
+  // fingerprint depends on.
   ShardedStoreConfig cfg;
   EXPECT_EQ(cfg.txn.mode, TxnMode::kOcc);
-  EXPECT_EQ(cfg.coalesce.max_writes, 0u);    // inherit DsmConfig
-  EXPECT_LT(cfg.coalesce.max_ns, 0);         // inherit DsmConfig
   EXPECT_FALSE(cfg.lease.enabled);
   EXPECT_EQ(cfg.lease.server_nodes, 0u);     // full replication
   EXPECT_EQ(cfg.lease.stripe_width, 1u);     // lease stripe == orec stripe

@@ -1,8 +1,8 @@
 // Shard directory and sharded-store tests: key routing is deterministic and
 // total, every shard keeps its own serializability ledger exact (version
 // word == committed writes, invariant 2 per shard), replicas of every shard
-// converge, and the per-shard lock-policy plumbing (queue / optimistic /
-// adaptive) routes writes the way the config says.
+// converge, and every single-key write runs through its stripe's
+// OptimisticMutex, whose per-node usage history picks the path.
 #include "shard/sharded_store.hpp"
 
 #include <gtest/gtest.h>
@@ -222,57 +222,54 @@ TEST(ShardedStore, MultiPutKeepsEveryInvolvedLedgerExact) {
   EXPECT_TRUE(f.store.replicas_converged());
 }
 
-TEST(ShardedStore, QueuePolicyUsesOnlyQueuePath) {
-  ShardedStoreConfig cfg;
-  cfg.shards = 2;
-  cfg.lock = LockPolicy::kQueue;
-  Fixture f(cfg);
-  auto p = put_batch(f, 1, {1, 2, 3, 4, 5, 6, 7, 8}, 0);
-  f.sched.run();
-  p.rethrow_if_failed();
-  for (ShardId s = 0; s < 2; ++s) {
-    EXPECT_EQ(f.store.optimistic_path_ops(s), 0u);
-  }
-  EXPECT_EQ(f.store.queue_path_ops(0) + f.store.queue_path_ops(1), 8u);
-  EXPECT_TRUE(f.store.replicas_converged());
-}
-
-TEST(ShardedStore, OptimisticPolicyUsesOnlyOptimisticPath) {
-  ShardedStoreConfig cfg;
-  cfg.shards = 2;
-  cfg.lock = LockPolicy::kOptimistic;
-  Fixture f(cfg);
-  auto p = put_batch(f, 1, {1, 2, 3, 4, 5, 6, 7, 8}, 0);
-  f.sched.run();
-  p.rethrow_if_failed();
-  for (ShardId s = 0; s < 2; ++s) {
-    EXPECT_EQ(f.store.queue_path_ops(s), 0u);
-  }
-  EXPECT_EQ(f.store.optimistic_path_ops(0) + f.store.optimistic_path_ops(1),
-            8u);
-}
-
-TEST(ShardedStore, AdaptiveGateSpeculatesWhenAlone) {
-  // A single writer never observes a busy lock, so the store-level EWMA
-  // stays at zero and every write takes the optimistic path.
+TEST(ShardedStore, LoneWriterSpeculatesEveryPut) {
+  // A single writer never finds its stripe lock busy, so its usage history
+  // stays below the threshold and all ten puts run speculatively.
   ShardedStoreConfig cfg;
   cfg.shards = 1;
-  cfg.lock = LockPolicy::kAdaptive;
   Fixture f(cfg);
   auto p = put_batch(f, 3, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 0);
   f.sched.run();
   p.rethrow_if_failed();
-  EXPECT_EQ(f.store.queue_path_ops(0), 0u);
-  EXPECT_EQ(f.store.optimistic_path_ops(0), 10u);
-  EXPECT_DOUBLE_EQ(f.store.shard_history(0), 0.0);
+  const auto& ls = f.store.lock_stats(0);
+  EXPECT_EQ(ls.speculative_attempts, 10u);
+  EXPECT_EQ(ls.history_vetoes, 0u);
+  EXPECT_EQ(f.store.version(0), 10);
+}
+
+TEST(ShardedStore, ContendedStripeRollsBackOrVetoes) {
+  // Eight nodes hammering one stripe: speculations collide and roll back,
+  // and the writers' histories then veto speculation for the queue path.
+  ShardedStoreConfig cfg;
+  cfg.shards = 1;
+  Fixture f(cfg);
+  const ShardId s = 0;
+  std::vector<Key> stripe;
+  for (Key k = 1; stripe.size() < 8; ++k) {
+    if (f.store.slot_of(k) == 0) stripe.push_back(k);
+  }
+  std::vector<sim::Process> procs;
+  for (dsm::NodeId n = 0; n < 8; ++n) {
+    std::vector<Key> keys;
+    for (int r = 0; r < 6; ++r) keys.push_back(stripe[(n + r) % 8]);
+    procs.push_back(put_batch(f, n, std::move(keys), n * 100));
+  }
+  f.sched.run();
+  for (auto& p : procs) p.rethrow_if_failed();
+  const auto& ls = f.store.lock_stats(s);
+  EXPECT_GT(ls.rollbacks + ls.history_vetoes, 0u);
+  EXPECT_EQ(f.store.committed_writes(s), 48u);
+  EXPECT_EQ(f.store.version(s),
+            static_cast<dsm::Word>(f.store.committed_writes(s)));
+  EXPECT_TRUE(f.store.replicas_converged());
 }
 
 TEST(ShardedStore, LockStatsCoverBothPaths) {
-  // Whatever mix of protocols served the shard, one LockStats carries the
-  // whole flight record: acquisitions == committed single-key writes.
+  // Whatever mix of speculative and queued sections served the shard, one
+  // LockStats carries the whole flight record: acquisitions == committed
+  // single-key writes.
   ShardedStoreConfig cfg;
   cfg.shards = 1;
-  cfg.lock = LockPolicy::kQueue;
   Fixture f(cfg);
   auto a = put_batch(f, 0, {1, 2, 3}, 0);
   auto b = put_batch(f, 5, {4, 5, 6}, 0);
@@ -306,47 +303,6 @@ TEST(ShardedStore, FillReportRollsUpEveryShard) {
   EXPECT_GT(report.messages, 0u);
 }
 
-// The pre-Client methods must keep working until callers finish migrating:
-// each shim delegates to the Client entry points, so values written through
-// one surface read back identically through the other.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-sim::Process shim_ops(Fixture& f) {
-  co_await f.store.put(0, 11, 110).join();
-  std::vector<std::pair<Key, dsm::Word>> kvs;
-  kvs.emplace_back(12, 120);
-  kvs.emplace_back(13, 130);
-  co_await f.store.multi_put(1, std::move(kvs)).join();
-  std::vector<Key> rmw_keys;
-  rmw_keys.push_back(11);
-  co_await f.store.multi_rmw(2, std::move(rmw_keys), 5).join();
-}
-
-TEST(ShardedStore, DeprecatedShimsStillServe) {
-  ShardedStoreConfig cfg;
-  cfg.slots_per_shard = 16;
-  Fixture f(cfg);
-  auto p = shim_ops(f);
-  f.sched.run();
-  p.rethrow_if_failed();
-  EXPECT_EQ(f.store.get(3, 11), std::optional<dsm::Word>(115));
-  EXPECT_EQ(f.store.get(4, 12), std::optional<dsm::Word>(120));
-  EXPECT_EQ(f.store.get(5, 13), std::optional<dsm::Word>(130));
-  // And the new surface observes the same state.
-  EXPECT_EQ(read_now(f, 6, 11), std::optional<dsm::Word>(115));
-
-  std::vector<std::optional<dsm::Word>> snap;
-  auto g = f.store.multi_get(0, {11, 12, 13}, &snap);
-  f.sched.run();
-  g.rethrow_if_failed();
-  ASSERT_EQ(snap.size(), 3u);
-  EXPECT_EQ(snap[0], std::optional<dsm::Word>(115));
-  EXPECT_EQ(snap[1], std::optional<dsm::Word>(120));
-  EXPECT_EQ(snap[2], std::optional<dsm::Word>(130));
-  EXPECT_TRUE(f.store.replicas_converged());
-}
-#pragma GCC diagnostic pop
-
 // ---------------------------------------------------------- stripe locks ---
 
 /// Keys of shard `s` grouped by slot stripe, scanning 1..limit.
@@ -364,13 +320,14 @@ sim::Process timed_write(Fixture& f, dsm::NodeId n, Key k, sim::Time* done) {
   *done = f.sched.now();
 }
 
-/// Two queue-path puts issued at t = 0 from two nodes; returns the later
-/// completion. The section compute (50 us) dwarfs every wire leg, so
-/// serialized sections finish >= 100 us, overlapping ones well before.
+/// Two puts issued at t = 0 from two nodes; returns the later completion.
+/// The section compute (50 us) dwarfs every wire leg, so serialized
+/// sections finish >= 100 us, overlapping ones well before. Both puts
+/// speculate; on one stripe the loser rolls back and re-runs after the
+/// winner's release.
 sim::Time two_put_makespan(Key a, Key b) {
   ShardedStoreConfig cfg;
   cfg.shards = 1;
-  cfg.lock = LockPolicy::kQueue;
   cfg.write_compute_ns = 50'000;
   Fixture f(cfg);
   sim::Time da = 0;
@@ -448,7 +405,6 @@ TEST(StripeLocks, OptimisticPutJournalsOnlyItsStripe) {
   ShardedStoreConfig cfg;
   cfg.shards = 1;
   cfg.slots_per_shard = 32;
-  cfg.lock = LockPolicy::kOptimistic;
   Fixture f(cfg);
   auto p = put_batch(f, 2, {1, 2, 3, 4, 5}, 0);
   f.sched.run();
@@ -460,43 +416,39 @@ TEST(StripeLocks, OptimisticPutJournalsOnlyItsStripe) {
 }
 
 TEST(StripeLocks, ContendedStripesKeepLedgerAndGwcExact) {
-  // Every node hammers a mix of shared and private stripes under every
-  // lock policy; writes and multi-stripe txns interleave. The per-shard
-  // ledger (sum of stripe version words) must equal committed sections,
-  // and every mutex-data write must be sequenced under its own stripe's
-  // lock (GwcChecker rule 4, per lock variable).
-  for (const LockPolicy policy :
-       {LockPolicy::kQueue, LockPolicy::kOptimistic, LockPolicy::kAdaptive}) {
-    ShardedStoreConfig cfg;
-    cfg.shards = 2;
-    cfg.lock = policy;
-    trace::Recorder rec(1 << 10);
-    trace::GwcChecker checker;
-    checker.install(rec);
-    dsm::DsmConfig dcfg;
-    dcfg.recorder = &rec;
-    Fixture f(cfg, dcfg);
-    std::vector<sim::Process> procs;
-    for (dsm::NodeId n = 0; n < 8; ++n) {
-      if (n % 2 == 0) {
-        procs.push_back(txn_batch(f, n, 5));
-      } else {
-        std::vector<Key> keys;
-        for (Key k = 1; k <= 10; ++k) keys.push_back(k * 3 + n);
-        procs.push_back(put_batch(f, n, std::move(keys), n * 100));
-      }
+  // Every node hammers a mix of shared and private stripes; writes and
+  // multi-stripe txns interleave. The per-shard ledger (sum of stripe
+  // version words) must equal committed sections, and every mutex-data
+  // write must be sequenced under its own stripe's lock (GwcChecker rule
+  // 4, per lock variable).
+  ShardedStoreConfig cfg;
+  cfg.shards = 2;
+  trace::Recorder rec(1 << 10);
+  trace::GwcChecker checker;
+  checker.install(rec);
+  dsm::DsmConfig dcfg;
+  dcfg.recorder = &rec;
+  Fixture f(cfg, dcfg);
+  std::vector<sim::Process> procs;
+  for (dsm::NodeId n = 0; n < 8; ++n) {
+    if (n % 2 == 0) {
+      procs.push_back(txn_batch(f, n, 5));
+    } else {
+      std::vector<Key> keys;
+      for (Key k = 1; k <= 10; ++k) keys.push_back(k * 3 + n);
+      procs.push_back(put_batch(f, n, std::move(keys), n * 100));
     }
-    f.sched.run();
-    for (auto& p : procs) p.rethrow_if_failed();
-    for (ShardId s = 0; s < 2; ++s) {
-      EXPECT_EQ(f.store.version(s),
-                static_cast<dsm::Word>(f.store.committed_writes(s)))
-          << lock_policy_name(policy) << " shard " << s;
-    }
-    EXPECT_TRUE(f.store.replicas_converged()) << lock_policy_name(policy);
-    EXPECT_TRUE(checker.ok()) << checker.report();
-    EXPECT_GT(checker.writes_checked(), 0u);
   }
+  f.sched.run();
+  for (auto& p : procs) p.rethrow_if_failed();
+  for (ShardId s = 0; s < 2; ++s) {
+    EXPECT_EQ(f.store.version(s),
+              static_cast<dsm::Word>(f.store.committed_writes(s)))
+        << "shard " << s;
+  }
+  EXPECT_TRUE(f.store.replicas_converged());
+  EXPECT_TRUE(checker.ok()) << checker.report();
+  EXPECT_GT(checker.writes_checked(), 0u);
 }
 
 }  // namespace

@@ -94,8 +94,6 @@ void usage() {
          "  --txn-fraction F     P(multi-key txn) (default 0.05)\n"
          "  --rmw-fraction F     P(multi-key read-modify-write) (default 0)\n"
          "  --txn-keys N         keys per txn/rmw (default 3)\n"
-         "  --policy P           queue | optimistic | adaptive (default"
-         " adaptive)\n"
          "  --adaptive-coalesce  drive each shard's frame cap from its live"
          " backlog\n"
          "  --txn-mode M         occ | legacy multi-key commit (default"
@@ -137,7 +135,7 @@ int main(int argc, char** argv) try {
   harness.allow_only(
       flags, {"nodes", "shards", "requests", "rate", "arrival", "dist",
               "zipf-s", "keys", "read-fraction", "txn-fraction",
-              "rmw-fraction", "txn-keys", "policy", "txn-mode",
+              "rmw-fraction", "txn-keys", "txn-mode",
               "server-nodes", "lease", "lease-ttl-ns", "consistency",
               "adaptive-coalesce", "elastic", "hot-groups", "migrate-shard",
               "fault-drop", "fault-seed", "partition", "help"});
@@ -166,17 +164,6 @@ int main(int argc, char** argv) try {
 
   shard::ShardedStoreConfig scfg;
   scfg.shards = shards;
-  const std::string policy = flags.get("policy", "adaptive");
-  if (policy == "queue") {
-    scfg.lock = shard::LockPolicy::kQueue;
-  } else if (policy == "optimistic") {
-    scfg.lock = shard::LockPolicy::kOptimistic;
-  } else if (policy == "adaptive") {
-    scfg.lock = shard::LockPolicy::kAdaptive;
-  } else {
-    std::cerr << "unknown --policy '" << policy << "'\n";
-    return 2;
-  }
   const std::string txn_mode = flags.get("txn-mode", "occ");
   if (txn_mode == "occ") {
     scfg.txn.mode = shard::TxnMode::kOcc;
