@@ -8,9 +8,11 @@
 // locks for the full service time.
 // The OCC path speculates outside the locks (local pokes + undo log,
 // clobber interrupts armed) and holds them only for validate + publish —
-// a fraction of the compute — trading a shorter critical section for the
-// occasional abort/retry and, past the abort budget, an irrevocable
-// fallback through the very same MultiGroupMutex.
+// a fraction of the compute. A conflict on a stripe the transaction both
+// reads and writes (every rmw key) is repaired: only that stripe's keys
+// are re-run under the commit locks. Other conflicts cost an abort/retry
+// and, past the abort budget, an irrevocable fallback through the very
+// same MultiGroupMutex.
 //
 // For each shard count in {1, 2, 4, 8} this bench replays an identical
 // open-loop, transaction-heavy schedule (same seed, same plan bytes)
@@ -88,6 +90,7 @@ struct RunResult {
   std::uint64_t aborts = 0;
   std::uint64_t retries = 0;
   std::uint64_t fallbacks = 0;
+  std::uint64_t repairs = 0;
   /// Completed multi-key (txn + rmw) operations per second.
   [[nodiscard]] double multikey_goodput_rps() const {
     if (report.elapsed_ns == 0) return 0.0;
@@ -164,6 +167,7 @@ RunResult run_txn(bench::Harness& harness, std::uint32_t nodes,
     res.aborts += s.txn_aborts;
     res.retries += s.txn_retries;
     res.fallbacks += s.txn_fallbacks;
+    res.repairs += s.txn_repairs;
   }
   if (!gen.done()) throw std::runtime_error("generator did not finish");
   return res;
@@ -236,7 +240,7 @@ int main(int argc, char** argv) try {
               << (mix.gated ? " [gated]" : "") << " ===\n";
     stats::Table table({"shards", "mode", "multikey req/s", "goodput req/s",
                         "commits", "aborts", "retries", "fallbacks",
-                        "abort%"});
+                        "repairs", "abort%"});
     for (const std::uint32_t shards : shard_counts) {
       const std::uint64_t run_seed =
           harness.seed() ^
@@ -284,6 +288,7 @@ int main(int argc, char** argv) try {
                        std::to_string(res.aborts),
                        std::to_string(res.retries),
                        std::to_string(res.fallbacks),
+                       std::to_string(res.repairs),
                        stats::Table::num(100.0 * res.abort_rate())});
 
         const std::string label =
@@ -300,6 +305,7 @@ int main(int argc, char** argv) try {
             .set("txn_aborts", static_cast<double>(res.aborts))
             .set("txn_retries", static_cast<double>(res.retries))
             .set("txn_fallbacks", static_cast<double>(res.fallbacks))
+            .set("txn_repairs", static_cast<double>(res.repairs))
             .set("txn_abort_rate", res.abort_rate())
             .set("gwc_writes_checked",
                  static_cast<double>(res.gwc_writes))

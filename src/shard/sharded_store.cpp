@@ -518,9 +518,7 @@ sim::Process ShardedStore::multi_put_occ(
       // which every single-key put bumps — keeps static traffic free of
       // false conflicts.
       for (const ShardId s : ids) {
-        Shard& sh = *shards_[s];
-        (void)txn_mgr_->read_word(t, sh.site, cfg_.slots_per_shard,
-                                  sh.versions[0]);
+        txn_mgr_->observe(t, shards_[s]->site, cfg_.slots_per_shard);
       }
     }
     const sim::Time spec_began = sched.now();
@@ -560,6 +558,22 @@ sim::Process ShardedStore::multi_put_occ(
   }
 }
 
+void ShardedStore::rmw_step(txn::Txn& t, Shard& sh, std::uint32_t slot,
+                            Key key, dsm::Word delta) {
+  // Read-your-writes: both reads are covered by this stripe's write lock
+  // at commit, so the rmw is strictly serializable.
+  const dsm::Word cur_key =
+      txn_mgr_->read_word(t, sh.site, slot, sh.slot_keys[slot]);
+  const dsm::Word cur_val =
+      cur_key == static_cast<dsm::Word>(key)
+          ? txn_mgr_->read_word(t, sh.site, slot, sh.slot_values[slot])
+          : 0;
+  txn_mgr_->write_word(t, sh.site, slot, sh.slot_keys[slot],
+                       static_cast<dsm::Word>(key));
+  txn_mgr_->write_word(t, sh.site, slot, sh.slot_values[slot],
+                       cur_val + delta);
+}
+
 sim::Process ShardedStore::multi_rmw_direct(dsm::NodeId n,
                                             std::vector<Key> keys,
                                             dsm::Word delta) {
@@ -567,6 +581,10 @@ sim::Process ShardedStore::multi_rmw_direct(dsm::NodeId n,
   const sim::Time started = sched.now();
   std::vector<ShardId> ids = involved_shards(keys);
   auto& cm = txn_mgr_->contention();
+  // Compute plus undo-journal cost of one key's step, speculative or
+  // repaired.
+  const sim::Duration per_key =
+      cfg_.write_compute_ns + 2 * cfg_.txn.tuning.save_ns_per_var;
   std::uint32_t aborts = 0;
   for (;;) {
     if (cfg_.elastic.enabled) ids = involved_shards(keys);
@@ -581,38 +599,47 @@ sim::Process ShardedStore::multi_rmw_direct(dsm::NodeId n,
     }
     txn::Txn t;
     txn_mgr_->begin(t, n);
+    // Each key's stripe as routed for this attempt: the one it speculates
+    // on and the commit locks, so a repair re-runs it there.
+    std::vector<std::pair<Shard*, std::uint32_t>> at;
+    at.reserve(keys.size());
+    for (const Key key : keys) {
+      at.emplace_back(shards_[map_.shard_of(key)].get(),
+                      static_cast<std::uint32_t>(slot_of(key)));
+    }
+    // §4 re-execution: a conflict on a key's stripe (which every rmw both
+    // reads and writes) does not abort the attempt; commit re-runs that
+    // stripe's keys under its lock against the committed values.
+    t.repair = [this, &keys, &at, delta, per_key](
+                   txn::Txn& tx, const std::vector<txn::StripeRef>& stale) {
+      sim::Duration cost = 0;
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        const auto& [sh, slot] = at[i];
+        if (std::find(stale.begin(), stale.end(),
+                      txn::StripeRef{sh->site, slot}) == stale.end()) {
+          continue;
+        }
+        rmw_step(tx, *sh, slot, keys[i], delta);
+        cost += per_key;
+      }
+      return cost;
+    };
     if (cfg_.elastic.enabled) {
       // Same doomed-not-lost guard as multi_put_occ: a key ABSENT from its
       // (old) owner leaves no moved slot behind to bump, so the slot reads
       // below would not catch a concurrent directory move — the directory
-      // stripe does.
+      // stripe does. It is read, never written, so it stays uncovered: a
+      // directory move still aborts the attempt.
       for (const ShardId s : ids) {
-        Shard& sh = *shards_[s];
-        (void)txn_mgr_->read_word(t, sh.site, cfg_.slots_per_shard,
-                                  sh.versions[0]);
+        txn_mgr_->observe(t, shards_[s]->site, cfg_.slots_per_shard);
       }
     }
     const sim::Time spec_began = sched.now();
-    auto& node = sys_->node(n);
-    for (const Key key : keys) {
-      Shard& sh = *shards_[map_.shard_of(key)];
-      const auto slot = static_cast<std::uint32_t>(slot_of(key));
-      // Read-your-writes: both reads are covered by this stripe's write
-      // lock at commit, so the rmw is strictly serializable.
-      const dsm::Word cur_key =
-          txn_mgr_->read_word(t, sh.site, slot, sh.slot_keys[slot]);
-      const dsm::Word cur_val =
-          cur_key == static_cast<dsm::Word>(key)
-              ? node.read(sh.slot_values[slot])
-              : 0;
-      txn_mgr_->write_word(t, sh.site, slot, sh.slot_keys[slot],
-                           static_cast<dsm::Word>(key));
-      txn_mgr_->write_word(t, sh.site, slot, sh.slot_values[slot],
-                           cur_val + delta);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      rmw_step(t, *at[i].first, at[i].second, keys[i], delta);
     }
     co_await txn_mgr_->speculate_for(
-        t, (cfg_.write_compute_ns + 2 * cfg_.txn.tuning.save_ns_per_var) *
-               static_cast<sim::Duration>(keys.size())).join();
+        t, per_key * static_cast<sim::Duration>(keys.size())).join();
     if (auto* trc = sys_->tracer()) {
       if (const auto ctx = trc->node_ctx(n); ctx.valid()) {
         trc->record_span(ctx.trace, ctx.span, telemetry::SpanKind::kSpeculate,
@@ -626,6 +653,7 @@ sim::Process ShardedStore::multi_rmw_direct(dsm::NodeId n,
         ++shards_[s]->committed;
         ++shards_[s]->txn_commits;
       }
+      if (res.repaired_stripes > 0) record_txn_repair(n, t.stale, aborts + 1);
       record_txn_flight(started, res.locks_acquired_at);
       co_return;
     }
@@ -957,6 +985,7 @@ void ShardedStore::fill_report(stats::ServiceReport& report) {
     entry.txn_aborts = sh.txn_aborts;
     entry.txn_retries = sh.txn_retries;
     entry.txn_fallbacks = sh.txn_fallbacks;
+    entry.txn_repairs = sh.txn_repairs;
     entry.aborts_read_clobber = sh.aborts_read_clobber;
     entry.aborts_validation = sh.aborts_validation;
     entry.aborts_dir_epoch = sh.aborts_dir_epoch;
@@ -1121,6 +1150,10 @@ std::uint64_t ShardedStore::txn_fallbacks(ShardId s) const {
   return shards_.at(s)->txn_fallbacks;
 }
 
+std::uint64_t ShardedStore::txn_repairs(ShardId s) const {
+  return shards_.at(s)->txn_repairs;
+}
+
 std::uint64_t ShardedStore::aborts_read_clobber(ShardId s) const {
   return shards_.at(s)->aborts_read_clobber;
 }
@@ -1185,6 +1218,25 @@ void ShardedStore::record_txn_abort(dsm::NodeId n,
                                   : at.root;
     j->txn_abort(sys_->scheduler().now(), reason, n, conflict_shard, stripe,
                  owner, attempt);
+  }
+}
+
+void ShardedStore::record_txn_repair(dsm::NodeId n,
+                                     const std::vector<txn::StripeRef>& stale,
+                                     std::uint32_t attempt) {
+  // One repair per shard that owned a stale stripe (site id == shard id).
+  std::vector<txn::SiteId> counted;
+  for (const auto& [site, stripe] : stale) {
+    if (std::find(counted.begin(), counted.end(), site) != counted.end()) {
+      continue;
+    }
+    counted.push_back(site);
+    ++shards_[site]->txn_repairs;
+  }
+  if (auto* j = sys_->journal()) {
+    j->txn_repair(sys_->scheduler().now(), n, stale.front().first,
+                  stale.front().second, attempt,
+                  static_cast<std::uint32_t>(stale.size()));
   }
 }
 

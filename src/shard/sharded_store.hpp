@@ -297,11 +297,13 @@ class ShardedStore {
   /// OCC layer introspection (orec versions, contention counters).
   [[nodiscard]] txn::TxnManager& txn_manager() { return *txn_mgr_; }
   /// Cross-shard transactions that committed / aborted / retried with this
-  /// shard involved, plus escalations to the irrevocable fallback.
+  /// shard involved, plus escalations to the irrevocable fallback and
+  /// commits that repaired a stale stripe of this shard.
   [[nodiscard]] std::uint64_t txn_commits(ShardId s) const;
   [[nodiscard]] std::uint64_t txn_aborts(ShardId s) const;
   [[nodiscard]] std::uint64_t txn_retries(ShardId s) const;
   [[nodiscard]] std::uint64_t txn_fallbacks(ShardId s) const;
+  [[nodiscard]] std::uint64_t txn_repairs(ShardId s) const;
   /// Abort-reason partition and per-stripe conflict heatmap (forensics;
   /// see the Shard field comments for the sum invariant).
   [[nodiscard]] std::uint64_t aborts_read_clobber(ShardId s) const;
@@ -334,6 +336,9 @@ class ShardedStore {
     std::uint64_t txn_aborts = 0;
     std::uint64_t txn_retries = 0;
     std::uint64_t txn_fallbacks = 0;
+    /// Commits that re-ran at least one stale stripe of this shard under
+    /// its lock (a repair is not an abort: txn_aborts is untouched).
+    std::uint64_t txn_repairs = 0;
     // Abort-reason partition (telemetry/journal.hpp taxonomy). Bumped on
     // every involved shard, exactly like txn_aborts, so per shard and in
     // total: read_clobber + validation + dir_epoch == txn_aborts.
@@ -388,6 +393,11 @@ class ShardedStore {
                              std::vector<ShardId> ids);
   sim::Process multi_rmw_impl(dsm::NodeId n, std::vector<Key> keys,
                               dsm::Word delta);
+  /// One key's read-modify-write inside `t` on its routed (shard, slot):
+  /// reads the slot, writes the key and the value plus `delta`. The
+  /// speculative pass and the commit-time repair both run it.
+  void rmw_step(txn::Txn& t, Shard& sh, std::uint32_t slot, Key key,
+                dsm::Word delta);
 
   /// The stripe locks a multi-key section over some keys holds: every
   /// involved (shard, slot) stripe lock, ascending — which is the global
@@ -437,6 +447,11 @@ class ShardedStore {
   void record_txn_abort(dsm::NodeId n,
                         const txn::TxnManager::CommitResult& res,
                         const std::vector<ShardId>& ids, std::uint32_t attempt);
+  /// Counts a repaired commit on every shard owning one of its `stale`
+  /// stripes and journals it (attributed to the first stale stripe).
+  void record_txn_repair(dsm::NodeId n,
+                         const std::vector<txn::StripeRef>& stale,
+                         std::uint32_t attempt);
   /// Journals a contention-manager escalation to the irrevocable fallback.
   void record_txn_fallback(dsm::NodeId n, const std::vector<ShardId>& ids,
                            std::uint32_t attempts);

@@ -117,7 +117,15 @@ std::string ServiceReport::format() const {
     }
   }
   std::uint64_t total_aborts = 0;
-  for (const auto& s : shards) total_aborts += s.txn_aborts;
+  std::uint64_t total_repairs = 0;
+  for (const auto& s : shards) {
+    total_aborts += s.txn_aborts;
+    total_repairs += s.txn_repairs;
+  }
+  if (total_repairs > 0) {
+    out << "  txn repairs (stale stripes re-run under the commit locks): "
+        << total_repairs << " shard-commits\n";
+  }
   if (total_aborts > 0) {
     out << "  shard  aborts   clobber  validate dir-ep   sum-ok  "
            "hottest-stripe\n";

@@ -91,6 +91,9 @@ struct ShardServiceStats {
   std::uint64_t txn_aborts = 0;
   std::uint64_t txn_retries = 0;
   std::uint64_t txn_fallbacks = 0;
+  /// Commits that re-ran a stale stripe of this shard under its lock
+  /// instead of aborting (covered-conflict repair; not in txn_aborts).
+  std::uint64_t txn_repairs = 0;
 
   // --- abort forensics (telemetry/journal.hpp taxonomy) ------------------
   /// Reason partition of txn_aborts. Invariant (per shard and in total):

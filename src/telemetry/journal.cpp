@@ -30,6 +30,8 @@ const char* Journal::kind_name(Kind k) {
       return "lease_expiry";
     case Kind::kElasticDecision:
       return "elastic_decision";
+    case Kind::kTxnRepair:
+      return "txn_repair";
   }
   return "unknown";
 }
@@ -82,6 +84,13 @@ void Journal::write_json(std::ostream& out) const {
         w.value("top_share", e.top_share);
         w.value("streak", e.streak);
         w.value("cooldown", e.cooldown);
+        break;
+      case Kind::kTxnRepair:
+        w.value("node", e.node);
+        w.value("shard", e.shard);
+        w.value("stripe", e.stripe);
+        w.value("attempt", e.attempt);
+        w.value("stale_stripes", e.stale_stripes);
         break;
     }
     w.end_object();

@@ -49,6 +49,7 @@ class Journal {
     kLeaseInvalidation,
     kLeaseExpiry,
     kElasticDecision,
+    kTxnRepair,
   };
 
   /// One flat record; which fields are meaningful depends on `kind` (the
@@ -63,7 +64,9 @@ class Journal {
     std::uint32_t shard = 0;   // conflict shard / lease shard / ladder shard
     std::uint32_t stripe = 0;  // conflicting orec stripe / lease slot
     std::uint32_t owner = 0;   // conflicting writer (or root) node
-    std::uint32_t attempt = 0; // abort count for this op so far
+    std::uint32_t attempt = 0; // abort count for this op so far (repair:
+                               // the attempt that repaired, 1-based)
+    std::uint32_t stale_stripes = 0;  // txn repair: stripes re-run
     // lease (epoch delta at grant/invalidation/expiry)
     std::uint64_t epoch_old = 0;
     std::uint64_t epoch_new = 0;
@@ -97,6 +100,22 @@ class Journal {
     e.stripe = stripe;
     e.owner = owner;
     e.attempt = attempt;
+    push(e);
+  }
+
+  /// A commit that re-ran `stale_stripes` stale covered stripes under its
+  /// locks instead of aborting; (shard, stripe) is the first stale one.
+  void txn_repair(sim::Time t, std::uint32_t node, std::uint32_t shard,
+                  std::uint32_t stripe, std::uint32_t attempt,
+                  std::uint32_t stale_stripes) {
+    Event e;
+    e.kind = Kind::kTxnRepair;
+    e.t = t;
+    e.node = node;
+    e.shard = shard;
+    e.stripe = stripe;
+    e.attempt = attempt;
+    e.stale_stripes = stale_stripes;
     push(e);
   }
 

@@ -62,7 +62,32 @@ dsm::Word TxnManager::read_word(Txn& t, SiteId site, std::uint32_t stripe,
   for (const auto& u : t.undo) {
     if (u.var == v) return u.after;
   }
+  if (t.repair && std::find(t.watched.begin(), t.watched.end(), v) ==
+                      t.watched.end()) {
+    arm_clobber(t, site, stripe, v);
+    t.watched.push_back(v);
+  }
   return sys_->node(t.node).read(v);
+}
+
+dsm::Word TxnManager::committed_word(const Txn& t, dsm::VarId v) const {
+  for (const auto& u : t.undo) {
+    if (u.var == v) return u.before;
+  }
+  return sys_->node(t.node).read(v);
+}
+
+bool TxnManager::repairable(const Txn& t, SiteId site, std::uint32_t stripe) {
+  return t.repair &&
+         std::find(t.write_stripes.begin(), t.write_stripes.end(),
+                   StripeRef{site, stripe}) != t.write_stripes.end();
+}
+
+void TxnManager::mark_stale(Txn& t, SiteId site, std::uint32_t stripe) {
+  const StripeRef ref{site, stripe};
+  if (std::find(t.stale.begin(), t.stale.end(), ref) == t.stale.end()) {
+    t.stale.push_back(ref);
+  }
 }
 
 void TxnManager::arm_clobber(Txn& t, SiteId site, std::uint32_t stripe,
@@ -77,11 +102,12 @@ void TxnManager::arm_clobber(Txn& t, SiteId site, std::uint32_t stripe,
         // pre-image). Whether the clobber KILLS us depends on what we did
         // with the variable: a blind write survives (our publish will
         // overwrite it under the stripe locks — strict two-phase locking at
-        // commit keeps write-write races serializable), but a clobber on a
-        // stripe this transaction READ dooms it — the speculation is built
-        // on a value that is no longer the group's state. (Self-echoes
-        // never reach here: hardware blocking drops them before the
-        // interrupt.)
+        // commit keeps write-write races serializable). A clobber on a
+        // stripe this transaction READ invalidates the speculation built on
+        // it: a covered stripe with a repair step is marked stale (commit
+        // re-runs it under the lock); any other read stripe dooms us.
+        // (Self-echoes never reach here: hardware blocking drops them
+        // before the interrupt.)
         auto it = active_.find(n);
         if (it != active_.end() && origin != n) {
           Txn& txn = *it->second;
@@ -94,6 +120,10 @@ void TxnManager::arm_clobber(Txn& t, SiteId site, std::uint32_t stripe,
           }
           for (const auto& r : txn.reads) {
             if (r.site == site && r.stripe == stripe) {
+              if (repairable(txn, site, stripe)) {
+                mark_stale(txn, site, stripe);
+                break;
+              }
               txn.doomed = true;
               if (!txn.doom_known) {
                 // First doom wins: this is the conflict that killed us.
@@ -130,7 +160,8 @@ void TxnManager::write_word(Txn& t, SiteId site, std::uint32_t stripe,
       return;
     }
   }
-  t.undo.push_back(Txn::UndoEntry{v, node.read(v), value, false});
+  t.undo.push_back(
+      Txn::UndoEntry{v, node.read(v), value, false, StripeRef{site, stripe}});
   arm_clobber(t, site, stripe, v);
   node.poke(v, value);
   if (std::find(t.write_stripes.begin(), t.write_stripes.end(),
@@ -174,6 +205,9 @@ void TxnManager::note_doom_conflict(const Txn& t, CommitResult* out) {
 void TxnManager::finish(Txn& t) {
   for (const auto& u : t.undo) {
     sys_->node(t.node).disarm_interrupt(u.var);
+  }
+  for (const dsm::VarId v : t.watched) {
+    sys_->node(t.node).disarm_interrupt(v);
   }
   active_.erase(t.node);
   t.active = false;
@@ -242,6 +276,37 @@ sim::Process TxnManager::commit(Txn& t, CommitResult* out) {
     co_await sim::delay(sched, cfg_.validate_ns_per_entry *
                                    static_cast<sim::Duration>(entries));
   }
+  // A moved orec on a covered stripe is a conflict the repair step can
+  // absorb: we hold the stripe's lock, so its state is final until we
+  // release.
+  for (const auto& r : t.reads) {
+    if (orecs_.version(t.node, r.site, r.stripe) != r.observed &&
+        repairable(t, r.site, r.stripe)) {
+      mark_stale(t, r.site, r.stripe);
+    }
+  }
+  if (trc != nullptr) {
+    if (const auto ctx = trc->node_ctx(t.node); ctx.valid()) {
+      trc->record_span(ctx.trace, ctx.span, telemetry::SpanKind::kValidate,
+                       t.node, validate_began, sched.now());
+    }
+  }
+  if (!t.doomed && !t.stale.empty()) {
+    const sim::Time repair_began = sched.now();
+    out->repaired_stripes = static_cast<std::uint32_t>(t.stale.size());
+    if (const sim::Duration d = run_repair(t); d > 0) {
+      co_await sim::delay(sched, d);
+    }
+    if (trc != nullptr) {
+      if (const auto ctx = trc->node_ctx(t.node); ctx.valid()) {
+        trc->record_span(ctx.trace, ctx.span, telemetry::SpanKind::kCs,
+                         t.node, repair_began, sched.now());
+      }
+    }
+  }
+
+  // Uncovered reads are checked last, right before the publish, so the
+  // repair time does not widen their validation window.
   bool ok = !t.doomed;
   if (!ok) {
     out->doomed_at_commit = true;
@@ -249,7 +314,8 @@ sim::Process TxnManager::commit(Txn& t, CommitResult* out) {
   }
   if (ok) {
     for (const auto& r : t.reads) {
-      if (orecs_.version(t.node, r.site, r.stripe) != r.observed) {
+      if (orecs_.version(t.node, r.site, r.stripe) != r.observed &&
+          !repairable(t, r.site, r.stripe)) {
         ok = false;
         out->validation_failed = true;
         // The moved orec is the conflict; the committer that bumped it is
@@ -260,12 +326,6 @@ sim::Process TxnManager::commit(Txn& t, CommitResult* out) {
         ++validation_failures_;
         break;
       }
-    }
-  }
-  if (trc != nullptr) {
-    if (const auto ctx = trc->node_ctx(t.node); ctx.valid()) {
-      trc->record_span(ctx.trace, ctx.span, telemetry::SpanKind::kValidate,
-                       t.node, validate_began, sched.now());
     }
   }
 
@@ -290,11 +350,29 @@ sim::Process TxnManager::commit(Txn& t, CommitResult* out) {
     t.undo.clear();  // discard — nothing to restore
     finish(t);
     ++commits_;
+    if (out->repaired_stripes > 0) ++repairs_;
     out->committed = true;
   } else {
     ++aborts_;
     co_await abort_impl(t).join();
   }
+}
+
+sim::Duration TxnManager::run_repair(Txn& t) {
+  auto& node = sys_->node(t.node);
+  for (auto& u : t.undo) {
+    if (std::find(t.stale.begin(), t.stale.end(), u.stripe) == t.stale.end()) {
+      continue;
+    }
+    u.after = u.before;
+    node.poke(u.var, u.before);
+  }
+  // The repair must stay inside the locked footprint: a new write stripe
+  // would publish under a lock this commit never took.
+  const std::size_t footprint = t.write_stripes.size();
+  const sim::Duration cost = t.repair(t, t.stale);
+  OPTSYNC_ENSURE(t.write_stripes.size() == footprint);
+  return cost;
 }
 
 sim::Process TxnManager::abort(Txn& t) {

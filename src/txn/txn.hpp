@@ -18,13 +18,20 @@
 //     conflicting update: the handler marks the variable CLOBBERED and
 //     refreshes its restore image to the foreign value (the group's
 //     authoritative state — an abort must converge on it, not on the
-//     stale pre-image). Whether the clobber also DOOMS the transaction
-//     depends on the conflict kind (encounter-time detection): a clobber
-//     on a stripe the transaction READ kills it — its speculation is
-//     built on superseded state — while a blind write survives, because
-//     the commit republishes the whole write-set under the stripe locks
-//     (strict two-phase locking at commit keeps write-write races
-//     serializable: the loser's update is simply ordered first).
+//     stale pre-image). What the clobber does to the transaction depends
+//     on the conflict kind (encounter-time detection). A blind write
+//     survives, because the commit republishes the whole write-set under
+//     the stripe locks (strict two-phase locking at commit keeps
+//     write-write races serializable: the loser's update is simply
+//     ordered first). A clobber on a stripe the transaction READ means
+//     its speculation is built on superseded state. If the transaction
+//     also writes that stripe (a COVERED stripe) and carries a repair
+//     step, the stripe is only marked STALE: commit re-runs its share of
+//     the body under the stripe's lock (§4: roll back, take the grant,
+//     re-execute under the lock). Otherwise the clobber DOOMS the
+//     transaction. A transaction with a repair step also arms the
+//     variables it only reads, so a commit on a read-only stripe dooms it
+//     at encounter time instead of at validation.
 //
 //   COMMIT — the stripe locks of the write-set are acquired in canonical
 //     order (ascending lock VarId — the same global order MultiGroupMutex
@@ -33,14 +40,20 @@
 //     grants the set in ascending stripe order, so a commit pays one
 //     round trip per site however many stripes it writes there. Once
 //     every grant has applied locally, GWC's grant-follows-data property
-//     makes the local replicas of the locked orec stripes exactly the
-//     owning roots' view, so read-set validation is a local compare of
-//     each observed orec version ("validation at the root" by proxy).
-//     On success the write-set is published through the normal sequenced
-//     write path (the root's coalesced frames), the touched orec stripes
-//     and each write-site's version ledger (the word of the LOWEST stripe
-//     lock held there) are bumped under the same locks, and the lock sets
-//     release in reverse order. On failure the
+//     makes the local replicas of the locked stripes exactly the owning
+//     roots' view. Read-set validation is then a local compare of each
+//     observed orec version ("validation at the root" by proxy). A moved
+//     orec on a covered stripe of a transaction with a repair step marks
+//     the stripe stale; on any other read-set stripe it fails validation.
+//     REPAIR: each undo entry's restore image is now the owning root's
+//     value, so commit rewinds the stale stripes' entries to those
+//     images and calls the repair step, which re-runs only the stale
+//     stripes' share of the body against them; its compute is charged
+//     under the locks. On success the write-set is published through the
+//     normal sequenced write path (the root's coalesced frames), the
+//     touched orec stripes and each write-site's version ledger (the word
+//     of the LOWEST stripe lock held there) are bumped under the same
+//     locks, and the lock sets release in reverse order. On failure the
 //     locks release, the undo log restores each entry's current image
 //     (the pre-image, or the clobbering commit's value), and the caller
 //     consults the ContentionManager for backoff or irrevocable-fallback
@@ -52,7 +65,9 @@
 // validated against the local orec replica, which may trail that site's
 // root by a propagation delay — the classic OCC validation window.
 // Transactions whose read set is covered by their write locks (e.g. the
-// store's read-modify-write) are strictly serializable; read-only
+// store's read-modify-write) are strictly serializable: a repaired body
+// reads exactly the state its locks order it after, so a covered
+// conflict never aborts it — only uncovered reads can. Read-only
 // snapshots are per-site consistent (see PROTOCOL.md, "OCC commit
 // protocol").
 #pragma once
@@ -69,8 +84,12 @@
 #include "sync/gwc_lock.hpp"
 #include "txn/contention.hpp"
 #include "txn/orec.hpp"
+#include "util/small_fn.hpp"
 
 namespace optsync::txn {
+
+/// One orec stripe of one site.
+using StripeRef = std::pair<SiteId, std::uint32_t>;
 
 struct TxnConfig {
   /// Orec stripes per site. Callers that address storage in slots (the
@@ -95,10 +114,21 @@ struct TxnConfig {
 /// end of commit()/abort() — the manager keeps a per-node pointer to it
 /// for the clobber interrupt handler.
 struct Txn {
+  /// Commit-time repair step (§4 re-execution under the lock). Set it
+  /// right after begin(). Called with the stale stripes once commit holds
+  /// every write lock and has rewound those stripes' undo entries to
+  /// their committed images; it must re-run the body's share on exactly
+  /// those stripes through read_word/write_word, and returns the compute
+  /// to charge under the locks. Without it, covered conflicts doom.
+  using RepairFn =
+      util::SmallFn<sim::Duration(Txn&, const std::vector<StripeRef>&)>;
+  RepairFn repair;
+
   dsm::NodeId node = 0;
   bool active = false;
   /// Set by the clobber interrupt: a conflicting transaction committed a
-  /// write into a stripe this transaction READ; the commit must fail.
+  /// write into a stripe this transaction READ and cannot repair; the
+  /// commit must fail.
   bool doomed = false;
   sim::Time began = 0;
 
@@ -123,11 +153,18 @@ struct Txn {
                        ///< sequenced value once clobbered
     dsm::Word after;   ///< speculative value, published on commit
     bool clobbered = false;
+    StripeRef stripe;  ///< the (site, stripe) it was written under
   };
   std::vector<UndoEntry> undo;
 
-  std::vector<std::pair<SiteId, std::uint32_t>> write_stripes;  ///< dedup
-  std::vector<SiteId> write_sites;                              ///< dedup
+  std::vector<StripeRef> write_stripes;  ///< dedup
+  std::vector<SiteId> write_sites;       ///< dedup
+  /// Covered stripes a conflict invalidated (dedup, detection order);
+  /// commit repairs them. Stays readable after commit for forensics.
+  std::vector<StripeRef> stale;
+  /// Variables read_word armed (repair-step transactions only), so a
+  /// foreign commit to a read-only stripe dooms at encounter time.
+  std::vector<dsm::VarId> watched;
 };
 
 class TxnManager {
@@ -170,7 +207,9 @@ class TxnManager {
   void observe(Txn& t, SiteId site, std::uint32_t stripe);
 
   /// observe() + local read of `v` (read-your-writes: speculative pokes
-  /// are visible).
+  /// are visible). A transaction with a repair step also arms `v`, so a
+  /// foreign commit to it dooms the transaction unless the stripe is
+  /// covered (then it marks the stripe stale).
   [[nodiscard]] dsm::Word read_word(Txn& t, SiteId site, std::uint32_t stripe,
                                     dsm::VarId v);
 
@@ -187,11 +226,21 @@ class TxnManager {
   /// abort will discard. Use as: co_await mgr.speculate_for(t, d).join();
   sim::Process speculate_for(Txn& t, sim::Duration d);
 
+  /// The value the group has committed for `v`, as `t` knows it: a
+  /// write-set variable's restore image (its pre-image, or the latest
+  /// clobbering commit's value), otherwise the local replica. Once commit
+  /// holds the lock of `v`'s stripe this is the owning root's value — the
+  /// state a repair re-runs against.
+  [[nodiscard]] dsm::Word committed_word(const Txn& t, dsm::VarId v) const;
+
   struct CommitResult {
     bool committed = false;
     bool doomed_at_commit = false;    ///< killed by a clobber interrupt
     bool validation_failed = false;   ///< read-set orec version moved
     sim::Time locks_acquired_at = 0;  ///< all write locks held (0 if none)
+    /// Stale covered stripes the repair step re-ran under the locks
+    /// (Txn::stale lists them); 0 when the attempt needed no repair.
+    std::uint32_t repaired_stripes = 0;
     /// Conflict attribution for the forensics journal: the (site, stripe)
     /// whose orec killed this attempt — the doom site for clobber aborts,
     /// the first failing read-set entry for validation aborts. The origin
@@ -217,6 +266,8 @@ class TxnManager {
   [[nodiscard]] std::uint64_t begun() const { return begun_; }
   [[nodiscard]] std::uint64_t commits() const { return commits_; }
   [[nodiscard]] std::uint64_t aborts() const { return aborts_; }
+  /// Commits that re-ran at least one stale covered stripe.
+  [[nodiscard]] std::uint64_t repairs() const { return repairs_; }
   [[nodiscard]] std::uint64_t clobbers_observed() const { return clobbers_; }
   [[nodiscard]] std::uint64_t validation_failures() const {
     return validation_failures_;
@@ -230,6 +281,13 @@ class TxnManager {
   };
 
   void arm_clobber(Txn& t, SiteId site, std::uint32_t stripe, dsm::VarId v);
+  /// True when `t` can repair a conflict on (site, stripe): it carries a
+  /// repair step and writes the stripe, so commit will hold its lock.
+  static bool repairable(const Txn& t, SiteId site, std::uint32_t stripe);
+  static void mark_stale(Txn& t, SiteId site, std::uint32_t stripe);
+  /// Rewinds the stale stripes' undo entries to their committed images
+  /// and runs t's repair step; returns the compute it charged.
+  sim::Duration run_repair(Txn& t);
   /// Per-node wake-up for speculate_for: notified when the node's
   /// transaction is doomed.
   sim::Signal& doom_signal(dsm::NodeId n);
@@ -247,6 +305,7 @@ class TxnManager {
   std::uint64_t begun_ = 0;
   std::uint64_t commits_ = 0;
   std::uint64_t aborts_ = 0;
+  std::uint64_t repairs_ = 0;
   std::uint64_t clobbers_ = 0;
   std::uint64_t validation_failures_ = 0;
 };

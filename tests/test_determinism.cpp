@@ -112,7 +112,8 @@ std::string run_fingerprint(std::uint64_t seed, const WorkloadParams& p) {
         .value("txn_commits", s.txn_commits)
         .value("txn_aborts", s.txn_aborts)
         .value("txn_retries", s.txn_retries)
-        .value("txn_fallbacks", s.txn_fallbacks);
+        .value("txn_fallbacks", s.txn_fallbacks)
+        .value("txn_repairs", s.txn_repairs);
     for (std::size_t o = 0; o < stats::kServiceOpCount; ++o) {
       const auto& op = s.ops[o];
       w.begin_object("op" + std::to_string(o))

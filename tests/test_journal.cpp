@@ -110,6 +110,30 @@ TEST(Journal, JsonRoundTripsThroughTheParser) {
   EXPECT_EQ(events[2]["cooldown"].as_uint(), 1u);
 }
 
+TEST(Journal, TxnRepairRecordCarriesItsAttribution) {
+  Journal j;
+  j.txn_repair(700, /*node=*/5, /*shard=*/2, /*stripe=*/11, /*attempt=*/1,
+               /*stale_stripes=*/3);
+  EXPECT_EQ(j.count(Journal::Kind::kTxnRepair), 1u);
+  EXPECT_EQ(j.count(Journal::Kind::kTxnAbort), 0u);
+  EXPECT_STREQ(Journal::kind_name(Journal::Kind::kTxnRepair), "txn_repair");
+  std::ostringstream out;
+  j.write_json(out);
+  const auto parsed = stats::parse_json(out.str());
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  const auto& e = parsed.value["events"][0];
+  EXPECT_EQ(e["kind"].as_string(), "txn_repair");
+  EXPECT_EQ(e["t"].as_uint(), 700u);
+  EXPECT_EQ(e["node"].as_uint(), 5u);
+  EXPECT_EQ(e["shard"].as_uint(), 2u);
+  EXPECT_EQ(e["stripe"].as_uint(), 11u);
+  EXPECT_EQ(e["attempt"].as_uint(), 1u);
+  EXPECT_EQ(e["stale_stripes"].as_uint(), 3u);
+  // A repair is not an abort: no reason, no owner.
+  EXPECT_FALSE(e.contains("reason"));
+  EXPECT_FALSE(e.contains("owner"));
+}
+
 TEST(Journal, ParserRejectsGarbageAndTruncation) {
   EXPECT_FALSE(stats::parse_json("{bad").ok);
   EXPECT_FALSE(stats::parse_json("").ok);

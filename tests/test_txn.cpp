@@ -2,7 +2,9 @@
 // frames, speculative writes stay local until commit, the undo log
 // restores exact bytes on abort, read-set validation catches conflicting
 // commits, a read-set clobber dooms the transaction while a blind write
-// survives it (and aborts converge on the foreign committed value), the
+// survives it (and aborts converge on the foreign committed value), a
+// transaction with a repair step re-runs its stale covered stripes under
+// its commit locks instead of aborting (uncovered reads still abort), the
 // contention manager escalates after its abort budget, and the store's
 // multi_rmw/multi_get ride the layer without losing updates.
 #include "txn/txn.hpp"
@@ -11,6 +13,7 @@
 
 #include <vector>
 
+#include "elastic/directory_manager.hpp"
 #include "load/generator.hpp"
 #include "shard/client.hpp"
 #include "shard/sharded_store.hpp"
@@ -24,29 +27,47 @@ namespace {
 
 // One site over one 8-node group; payload vars x/y/z sit on stripes
 // 0/1/2 by convention (the caller owns the stripe mapping, like the
-// sharded store's slot == stripe rule).
+// sharded store's slot == stripe rule). With `nlocks` > 1 the site has one
+// lock per stripe up to nlocks (stripe_lock_index), and each payload var
+// is guarded by its stripe's lock.
 struct Fixture {
-  Fixture() : topo(net::MeshTorus2D::near_square(8)),
-              sys(sched, topo, dsm::DsmConfig{}) {
+  explicit Fixture(std::size_t nlocks = 1)
+      : topo(net::MeshTorus2D::near_square(8)),
+        sys(sched, topo, dsm::DsmConfig{}) {
     g = sys.create_group({0, 1, 2, 3, 4, 5, 6, 7}, 0);
-    lock = sys.define_lock("site.lock", g);
-    ver = sys.define_mutex_data("site.ver", g, lock, 0);
-    x = sys.define_mutex_data("x", g, lock, 0);
-    y = sys.define_mutex_data("y", g, lock, 0);
-    z = sys.define_mutex_data("z", g, lock, 0);
+    for (std::size_t i = 0; i < nlocks; ++i) {
+      locks.push_back(sys.define_lock("site.lock" + std::to_string(i), g));
+    }
+    for (std::size_t i = 0; i < nlocks; ++i) {
+      vers.push_back(sys.define_mutex_data("site.ver" + std::to_string(i), g,
+                                           locks[i], 0));
+    }
+    lock = locks[0];
+    ver = vers[0];
+    const auto guard = [&](std::uint32_t stripe) {
+      return locks[stripe_lock_index(stripe, nlocks)];
+    };
+    x = sys.define_mutex_data("x", g, guard(0), 0);
+    y = sys.define_mutex_data("y", g, guard(1), 0);
+    z = sys.define_mutex_data("z", g, guard(2), 0);
     TxnConfig cfg;
     cfg.orec_stripes = 4;
     mgr = std::make_unique<TxnManager>(sys, cfg);
-    site = mgr->add_site("site", g, {lock}, {ver});
+    site = mgr->add_site("site", g, locks, vers);
   }
   sim::Scheduler sched;
   net::MeshTorus2D topo;
   dsm::DsmSystem sys;
   dsm::GroupId g = 0;
+  std::vector<dsm::VarId> locks, vers;
   dsm::VarId lock = 0, ver = 0, x = 0, y = 0, z = 0;
   std::unique_ptr<TxnManager> mgr;
   SiteId site = 0;
 };
+
+// Coroutine lambdas in this file are named and called in a second
+// statement, so their closures (which hold the [&] captures) outlive the
+// processes that resume inside them.
 
 // A conflicting committed write from `n`: takes the site lock, publishes
 // `value` into `v`, bumps the stripe's orec — what any non-transactional
@@ -56,6 +77,17 @@ sim::Process foreign_commit(Fixture& f, dsm::NodeId n, dsm::VarId v,
   sync::GwcQueueLock lk(f.sys, f.lock);
   co_await lk.acquire(n).join();
   f.sys.node(n).write(v, value);
+  f.mgr->orecs().bump(n, f.site, stripe);
+  lk.release(n);
+}
+
+// A committed write to some other variable of `stripe`: bumps the
+// stripe's orec under its lock without touching any variable a test
+// transaction reads or writes, so no clobber interrupt fires.
+sim::Process foreign_bump(Fixture& f, dsm::NodeId n, std::uint32_t stripe) {
+  sync::GwcQueueLock lk(
+      f.sys, f.locks[stripe_lock_index(stripe, f.locks.size())]);
+  co_await lk.acquire(n).join();
   f.mgr->orecs().bump(n, f.site, stripe);
   lk.release(n);
 }
@@ -94,7 +126,7 @@ TEST(OrecTable, StripeOfIsStableAndInRange) {
 TEST(TxnManager, SpeculativeWritesStayLocalUntilCommit) {
   Fixture f;
   bool mid_checked = false;
-  auto p = [&]() -> sim::Process {
+  auto p_body = [&]() -> sim::Process {
     Txn t;
     f.mgr->begin(t, 1);
     f.mgr->write_word(t, f.site, 0, f.x, 42);
@@ -105,7 +137,8 @@ TEST(TxnManager, SpeculativeWritesStayLocalUntilCommit) {
     TxnManager::CommitResult res;
     co_await f.mgr->commit(t, &res).join();
     EXPECT_TRUE(res.committed);
-  }();
+  };
+  auto p = p_body();
   f.sched.run();
   p.rethrow_if_failed();
   EXPECT_TRUE(mid_checked);
@@ -121,7 +154,7 @@ TEST(TxnManager, SpeculativeWritesStayLocalUntilCommit) {
 TEST(TxnManager, AbortRestoresExactBytes) {
   Fixture f;
   // Establish non-zero committed state first.
-  auto setup = [&]() -> sim::Process {
+  auto setup_body = [&]() -> sim::Process {
     Txn t;
     f.mgr->begin(t, 0);
     f.mgr->write_word(t, f.site, 0, f.x, 7);
@@ -129,11 +162,12 @@ TEST(TxnManager, AbortRestoresExactBytes) {
     TxnManager::CommitResult res;
     co_await f.mgr->commit(t, &res).join();
     EXPECT_TRUE(res.committed);
-  }();
+  };
+  auto setup = setup_body();
   f.sched.run();
   setup.rethrow_if_failed();
 
-  auto p = [&]() -> sim::Process {
+  auto p_body = [&]() -> sim::Process {
     Txn t;
     f.mgr->begin(t, 3);
     f.mgr->write_word(t, f.site, 0, f.x, 100);
@@ -142,7 +176,8 @@ TEST(TxnManager, AbortRestoresExactBytes) {
     EXPECT_EQ(f.sys.node(3).read(f.x), 100);
     EXPECT_EQ(f.sys.node(3).read(f.y), 201);
     co_await f.mgr->abort(t).join();
-  }();
+  };
+  auto p = p_body();
   f.sched.run();
   p.rethrow_if_failed();
   // Exact pre-images restored locally; nothing ever left the node.
@@ -159,7 +194,7 @@ TEST(TxnManager, AbortRestoresExactBytes) {
 
 TEST(TxnManager, ReadSetValidationCatchesConflictingCommit) {
   Fixture f;
-  auto reader = [&]() -> sim::Process {
+  auto reader_body = [&]() -> sim::Process {
     Txn t;
     f.mgr->begin(t, 1);
     // Read x (stripe 0), then speculate on y (stripe 1) while a foreign
@@ -172,11 +207,13 @@ TEST(TxnManager, ReadSetValidationCatchesConflictingCommit) {
     co_await f.mgr->commit(t, &res).join();
     EXPECT_FALSE(res.committed);
     EXPECT_TRUE(res.validation_failed);
-  }();
-  auto writer = [&]() -> sim::Process {
+  };
+  auto reader = reader_body();
+  auto writer_body = [&]() -> sim::Process {
     co_await sim::delay(f.sched, 10'000);
     co_await foreign_commit(f, 2, f.x, 0, 55).join();
-  }();
+  };
+  auto writer = writer_body();
   f.sched.run();
   reader.rethrow_if_failed();
   writer.rethrow_if_failed();
@@ -195,7 +232,7 @@ TEST(TxnManager, BlindWriteSurvivesClobberAndCommitsOverIt) {
   // commit republishes the whole write-set under the site lock, which
   // orders the race (foreign first, ours second) and stays serializable.
   Fixture f;
-  auto spec = [&]() -> sim::Process {
+  auto spec_body = [&]() -> sim::Process {
     Txn t;
     f.mgr->begin(t, 1);
     f.mgr->write_word(t, f.site, 0, f.x, 100);  // arms the clobber interrupt
@@ -207,11 +244,13 @@ TEST(TxnManager, BlindWriteSurvivesClobberAndCommitsOverIt) {
     TxnManager::CommitResult res;
     co_await f.mgr->commit(t, &res).join();
     EXPECT_TRUE(res.committed);
-  }();
-  auto writer = [&]() -> sim::Process {
+  };
+  auto spec = spec_body();
+  auto writer_body = [&]() -> sim::Process {
     co_await sim::delay(f.sched, 10'000);
     co_await foreign_commit(f, 2, f.x, 0, 55).join();
-  }();
+  };
+  auto writer = writer_body();
   f.sched.run();
   spec.rethrow_if_failed();
   writer.rethrow_if_failed();
@@ -232,7 +271,7 @@ TEST(TxnManager, ReadSetClobberDoomsAndAbortKeepsForeignValue) {
   // the commit path aborts without acquiring any lock, and the rollback
   // converges the local replica on the foreign committed value.
   Fixture f;
-  auto spec = [&]() -> sim::Process {
+  auto spec_body = [&]() -> sim::Process {
     Txn t;
     f.mgr->begin(t, 1);
     const dsm::Word seen = f.mgr->read_word(t, f.site, 0, f.x);
@@ -243,11 +282,13 @@ TEST(TxnManager, ReadSetClobberDoomsAndAbortKeepsForeignValue) {
     co_await f.mgr->commit(t, &res).join();
     EXPECT_FALSE(res.committed);
     EXPECT_TRUE(res.doomed_at_commit);
-  }();
-  auto writer = [&]() -> sim::Process {
+  };
+  auto spec = spec_body();
+  auto writer_body = [&]() -> sim::Process {
     co_await sim::delay(f.sched, 10'000);
     co_await foreign_commit(f, 2, f.x, 0, 55).join();
-  }();
+  };
+  auto writer = writer_body();
   f.sched.run();
   spec.rethrow_if_failed();
   writer.rethrow_if_failed();
@@ -258,6 +299,255 @@ TEST(TxnManager, ReadSetClobberDoomsAndAbortKeepsForeignValue) {
     EXPECT_EQ(f.sys.node(n).read(f.x), 55) << "node " << n;
   }
   EXPECT_EQ(f.sys.node(0).read(f.ver), 0);  // no transactional commit
+}
+
+// ----------------------------------------------------------------- repair ---
+
+// What a repair step saw: the stale stripes it was handed, when it ran,
+// and the committed value of x it re-ran against.
+struct RepairLog {
+  int calls = 0;
+  std::vector<StripeRef> stale;
+  sim::Time at = 0;
+  dsm::Word committed_x = -1;
+};
+
+// The body "x += 100 on stripe 0, y += 1 on stripe 1" as a repair step:
+// re-runs only the stale stripes' share, charged 500 ns per stripe.
+Txn::RepairFn add_repair(Fixture& f, RepairLog* log) {
+  return [&f, log](Txn& t, const std::vector<StripeRef>& stale) {
+    ++log->calls;
+    log->stale = stale;
+    log->at = f.sched.now();
+    log->committed_x = f.mgr->committed_word(t, f.x);
+    for (const auto& [site, stripe] : stale) {
+      if (stripe == 0) {
+        f.mgr->write_word(t, site, 0, f.x,
+                          f.mgr->read_word(t, site, 0, f.x) + 100);
+      } else if (stripe == 1) {
+        f.mgr->write_word(t, site, 1, f.y,
+                          f.mgr->read_word(t, site, 1, f.y) + 1);
+      }
+    }
+    return static_cast<sim::Duration>(500 * stale.size());
+  };
+}
+
+TEST(TxnRepair, CoveredClobberRepairsUnderTheCommitLocks) {
+  // The read-set clobber race of ReadSetClobberDooms..., but the
+  // transaction carries a repair step: the clobber on stripe 0 (read AND
+  // written — covered) only marks it stale, and commit re-runs stripe 0's
+  // share against the foreign 55 once it holds the lock. Stripe 1 was not
+  // touched, so it is not re-run.
+  Fixture f;
+  RepairLog log;
+  TxnManager::CommitResult res;
+  auto spec_body = [&]() -> sim::Process {
+    Txn t;
+    f.mgr->begin(t, 1);
+    t.repair = add_repair(f, &log);
+    f.mgr->write_word(t, f.site, 0, f.x,
+                      f.mgr->read_word(t, f.site, 0, f.x) + 100);
+    f.mgr->write_word(t, f.site, 1, f.y,
+                      f.mgr->read_word(t, f.site, 1, f.y) + 1);
+    co_await sim::delay(f.sched, 300'000);  // foreign commit lands meanwhile
+    EXPECT_FALSE(t.doomed);
+    EXPECT_EQ(t.stale.size(), 1u);
+    co_await f.mgr->commit(t, &res).join();
+  };
+  auto spec = spec_body();
+  auto writer_body = [&]() -> sim::Process {
+    co_await sim::delay(f.sched, 10'000);
+    co_await foreign_commit(f, 2, f.x, 0, 55).join();
+  };
+  auto writer = writer_body();
+  f.sched.run();
+  spec.rethrow_if_failed();
+  writer.rethrow_if_failed();
+  EXPECT_TRUE(res.committed);
+  EXPECT_FALSE(res.doomed_at_commit);
+  EXPECT_FALSE(res.validation_failed);
+  EXPECT_EQ(res.repaired_stripes, 1u);
+  ASSERT_EQ(log.calls, 1);
+  EXPECT_EQ(log.stale, (std::vector<StripeRef>{{f.site, 0}}));
+  EXPECT_GE(log.at, res.locks_acquired_at);
+  EXPECT_GT(res.locks_acquired_at, 0u);
+  EXPECT_EQ(log.committed_x, 55);
+  // Published: the authoritative value plus the transaction's effect.
+  for (dsm::NodeId n = 0; n < 8; ++n) {
+    EXPECT_EQ(f.sys.node(n).read(f.x), 155) << "node " << n;
+    EXPECT_EQ(f.sys.node(n).read(f.y), 1) << "node " << n;
+    EXPECT_EQ(f.mgr->orecs().version(n, f.site, 0), 2) << "node " << n;
+  }
+  EXPECT_EQ(f.mgr->repairs(), 1u);
+  EXPECT_EQ(f.mgr->aborts(), 0u);
+  EXPECT_EQ(f.mgr->commits(), 1u);
+  EXPECT_GE(f.mgr->clobbers_observed(), 1u);
+  EXPECT_EQ(f.sys.node(0).read(f.ver), 1);  // the ledger saw one commit
+}
+
+TEST(TxnRepair, MovedOrecOnCoveredStripeRepairsAtValidation) {
+  // No clobber interrupt at all: a commit to another variable of stripe 0
+  // only moves its orec. Under the commit lock that is a repairable
+  // conflict, not a validation failure.
+  Fixture f;
+  RepairLog log;
+  TxnManager::CommitResult res;
+  auto spec_body = [&]() -> sim::Process {
+    Txn t;
+    f.mgr->begin(t, 1);
+    t.repair = add_repair(f, &log);
+    f.mgr->write_word(t, f.site, 0, f.x,
+                      f.mgr->read_word(t, f.site, 0, f.x) + 100);
+    co_await sim::delay(f.sched, 300'000);
+    EXPECT_TRUE(t.stale.empty());
+    co_await f.mgr->commit(t, &res).join();
+  };
+  auto spec = spec_body();
+  auto writer_body = [&]() -> sim::Process {
+    co_await sim::delay(f.sched, 10'000);
+    co_await foreign_bump(f, 2, 0).join();
+  };
+  auto writer = writer_body();
+  f.sched.run();
+  spec.rethrow_if_failed();
+  writer.rethrow_if_failed();
+  EXPECT_TRUE(res.committed);
+  EXPECT_EQ(res.repaired_stripes, 1u);
+  EXPECT_EQ(log.calls, 1);
+  EXPECT_EQ(f.mgr->clobbers_observed(), 0u);
+  EXPECT_EQ(f.mgr->validation_failures(), 0u);
+  for (dsm::NodeId n = 0; n < 8; ++n) {
+    EXPECT_EQ(f.sys.node(n).read(f.x), 100) << "node " << n;
+  }
+}
+
+TEST(TxnRepair, ClobberOnReadOnlyStripeStillDooms) {
+  // The transaction reads x (stripe 0) but writes only y (stripe 1):
+  // stripe 0 is uncovered, so a repair step cannot fix it. The clobber on
+  // the read-only variable dooms the transaction at encounter time and
+  // commit aborts without taking a lock — a read-set-clobber abort.
+  Fixture f;
+  RepairLog log;
+  TxnManager::CommitResult res;
+  auto spec_body = [&]() -> sim::Process {
+    Txn t;
+    f.mgr->begin(t, 1);
+    t.repair = add_repair(f, &log);
+    f.mgr->write_word(t, f.site, 1, f.y,
+                      f.mgr->read_word(t, f.site, 0, f.x) + 1);
+    co_await sim::delay(f.sched, 300'000);
+    EXPECT_TRUE(t.doomed);
+    EXPECT_TRUE(t.stale.empty());
+    co_await f.mgr->commit(t, &res).join();
+  };
+  auto spec = spec_body();
+  auto writer_body = [&]() -> sim::Process {
+    co_await sim::delay(f.sched, 10'000);
+    co_await foreign_commit(f, 2, f.x, 0, 55).join();
+  };
+  auto writer = writer_body();
+  f.sched.run();
+  spec.rethrow_if_failed();
+  writer.rethrow_if_failed();
+  EXPECT_FALSE(res.committed);
+  EXPECT_TRUE(res.doomed_at_commit);
+  EXPECT_FALSE(res.validation_failed);
+  EXPECT_EQ(res.locks_acquired_at, 0u);
+  ASSERT_TRUE(res.has_conflict);
+  EXPECT_EQ(res.conflict_stripe, 0u);
+  EXPECT_EQ(res.conflict_origin, 2u);
+  EXPECT_EQ(log.calls, 0);
+  EXPECT_EQ(f.mgr->repairs(), 0u);
+  EXPECT_EQ(f.mgr->aborts(), 1u);
+  for (dsm::NodeId n = 0; n < 8; ++n) {
+    EXPECT_EQ(f.sys.node(n).read(f.x), 55) << "node " << n;
+    EXPECT_EQ(f.sys.node(n).read(f.y), 0) << "node " << n;
+    // The read-only arm was taken down with the transaction.
+    EXPECT_FALSE(f.sys.node(n).interrupt_armed(f.x)) << "node " << n;
+  }
+}
+
+TEST(TxnRepair, MovedOrecOnUnlockedReadStripeFailsValidation) {
+  // One lock per stripe: the transaction reads x (stripe 0, lock 0) and
+  // writes y (stripe 1, lock 1), so its commit never holds lock 0. A
+  // commit elsewhere on stripe 0 moves the orec without touching x: no
+  // interrupt, and the uncovered entry fails validation as before.
+  Fixture f(2);
+  RepairLog log;
+  TxnManager::CommitResult res;
+  auto spec_body = [&]() -> sim::Process {
+    Txn t;
+    f.mgr->begin(t, 1);
+    t.repair = add_repair(f, &log);
+    f.mgr->write_word(t, f.site, 1, f.y,
+                      f.mgr->read_word(t, f.site, 0, f.x) + 1);
+    co_await sim::delay(f.sched, 300'000);
+    EXPECT_FALSE(t.doomed);
+    co_await f.mgr->commit(t, &res).join();
+  };
+  auto spec = spec_body();
+  auto writer_body = [&]() -> sim::Process {
+    co_await sim::delay(f.sched, 10'000);
+    co_await foreign_bump(f, 2, 0).join();
+  };
+  auto writer = writer_body();
+  f.sched.run();
+  spec.rethrow_if_failed();
+  writer.rethrow_if_failed();
+  EXPECT_FALSE(res.committed);
+  EXPECT_TRUE(res.validation_failed);
+  EXPECT_FALSE(res.doomed_at_commit);
+  EXPECT_GT(res.locks_acquired_at, 0u);
+  ASSERT_TRUE(res.has_conflict);
+  EXPECT_EQ(res.conflict_stripe, 0u);
+  EXPECT_EQ(res.repaired_stripes, 0u);
+  EXPECT_EQ(log.calls, 0);
+  EXPECT_EQ(f.mgr->validation_failures(), 1u);
+  EXPECT_EQ(f.mgr->repairs(), 0u);
+  for (dsm::NodeId n = 0; n < 8; ++n) {
+    EXPECT_EQ(f.sys.node(n).read(f.y), 0) << "node " << n;
+  }
+}
+
+TEST(TxnRepair, WithoutARepairStepCoveredClobberStillDooms) {
+  // The race of CoveredClobberRepairsUnderTheCommitLocks with no repair
+  // step: exactly today's doom-and-abort, with none of the repair state
+  // touched (no stale stripes, no read-only arms, no repair counted).
+  Fixture f;
+  TxnManager::CommitResult res;
+  auto spec_body = [&]() -> sim::Process {
+    Txn t;
+    f.mgr->begin(t, 1);
+    const dsm::Word seen = f.mgr->read_word(t, f.site, 1, f.y);
+    EXPECT_FALSE(f.sys.node(1).interrupt_armed(f.y));
+    f.mgr->write_word(t, f.site, 0, f.x,
+                      f.mgr->read_word(t, f.site, 0, f.x) + 100 + seen);
+    co_await sim::delay(f.sched, 300'000);
+    EXPECT_TRUE(t.doomed);
+    EXPECT_TRUE(t.stale.empty());
+    EXPECT_TRUE(t.watched.empty());
+    co_await f.mgr->commit(t, &res).join();
+  };
+  auto spec = spec_body();
+  auto writer_body = [&]() -> sim::Process {
+    co_await sim::delay(f.sched, 10'000);
+    co_await foreign_commit(f, 2, f.x, 0, 55).join();
+  };
+  auto writer = writer_body();
+  f.sched.run();
+  spec.rethrow_if_failed();
+  writer.rethrow_if_failed();
+  EXPECT_FALSE(res.committed);
+  EXPECT_TRUE(res.doomed_at_commit);
+  EXPECT_EQ(res.locks_acquired_at, 0u);
+  EXPECT_EQ(res.repaired_stripes, 0u);
+  EXPECT_EQ(f.mgr->repairs(), 0u);
+  EXPECT_EQ(f.mgr->aborts(), 1u);
+  for (dsm::NodeId n = 0; n < 8; ++n) {
+    EXPECT_EQ(f.sys.node(n).read(f.x), 55) << "node " << n;
+  }
+  EXPECT_EQ(f.sys.node(0).read(f.ver), 0);
 }
 
 // ------------------------------------------------------------- contention ---
@@ -285,11 +575,12 @@ TEST(ContentionManager, JitteredBackoffIsDeterministicPerSeed) {
     ContentionConfig cfg;
     cfg.seed = 99;
     ContentionManager cm(f.sys, cfg);
-    auto p = [&]() -> sim::Process {
+    auto p_body = [&]() -> sim::Process {
       for (std::uint32_t k = 1; k <= 5; ++k) {
         co_await cm.backoff(4, k).join();
       }
-    }();
+    };
+    auto p = p_body();
     f.sched.run();
     p.rethrow_if_failed();
     EXPECT_EQ(cm.backoffs(), 5u);
@@ -370,20 +661,24 @@ TEST(StoreTxn, MultiRmwHasNoLostUpdates) {
   stats::ServiceReport report;
   f.store.fill_report(report);
   EXPECT_TRUE(report.serializable());
-  // Eight nodes hammering two keys must collide: the OCC layer had to
-  // abort and retry (or escalate) at least once to stay exact.
-  EXPECT_GT(f.store.txn_manager().aborts() +
-                f.store.txn_manager().contention().fallbacks_signalled(),
-            0u);
+  // Eight nodes hammering two keys must collide. Every rmw reads only
+  // stripes it writes, so each collision is repaired under the commit
+  // locks — never aborted — and the sums above stay exact.
+  EXPECT_GT(f.store.txn_manager().repairs(), 0u);
+  EXPECT_EQ(f.store.txn_manager().aborts(), 0u);
+  std::uint64_t shard_repairs = 0;
+  for (const auto& s : report.shards) shard_repairs += s.txn_repairs;
+  EXPECT_GT(shard_repairs, 0u);
 }
 
 TEST(StoreTxn, MultiGetReturnsCommittedSnapshot) {
   StoreFixture f;
-  auto setup = [&]() -> sim::Process {
+  auto setup_body = [&]() -> sim::Process {
     shard::TxnRequest req;
     req.puts = {{10, 111}, {11, 222}};
     co_await f.client.txn(0, std::move(req)).join();
-  }();
+  };
+  auto setup = setup_body();
   f.sched.run();
   setup.rethrow_if_failed();
 
@@ -433,33 +728,67 @@ TEST(StoreTxn, OccAndLegacyAgreeOnFinalState) {
 }
 
 TEST(StoreTxn, AbortBudgetEscalatesToIrrevocableFallback) {
+  // Repairs absorb rmw-on-rmw conflicts, so the abort path is driven by
+  // what still aborts an rmw: a directory move. Each rmw observes its
+  // shards' directory stripe without writing it (uncovered), so a hot-key
+  // promotion or demotion racing the rmws fails their validation, and
+  // with a budget of one abort the retry escalates to the fallback. The
+  // moves run on the control node (the last member, node 7), which
+  // carries no rmw traffic: six workers of eight rounds keep the sum 48.
   shard::ShardedStoreConfig scfg;
   scfg.txn.tuning.contention.max_aborts = 1;  // escalate after the first abort
+  scfg.shards = 4;
+  scfg.policy = shard::ShardMap::Policy::kRange;
+  scfg.key_space = 64;
+  scfg.slots_per_shard = 32;
+  scfg.elastic.enabled = true;
+  scfg.elastic.hot_groups = 2;
   StoreFixture f(scfg);
+  elastic::DirectoryManager dir(f.store);
+  const shard::ShardId hot = f.store.base_shards();
   const std::vector<shard::Key> keys{5, 6};
+  int running = 6;
   auto worker = [&](dsm::NodeId n) -> sim::Process {
-    for (int k = 0; k < 6; ++k) {
+    for (int k = 0; k < 8; ++k) {
       shard::TxnRequest req;
       req.adds = keys;
       req.delta = 1;
       co_await f.client.txn(n, std::move(req)).join();
     }
+    --running;
+  };
+  auto mover = [&]() -> sim::Process {
+    while (running > 0) {
+      co_await sim::delay(f.sched, 2'000);
+      co_await dir.promote(5, hot).join();
+      co_await sim::delay(f.sched, 2'000);
+      co_await dir.demote(5).join();
+    }
   };
   std::vector<sim::Process> procs;
-  for (dsm::NodeId n = 0; n < 8; ++n) procs.push_back(worker(n));
+  for (dsm::NodeId n = 0; n < 6; ++n) procs.push_back(worker(n));
+  procs.push_back(mover());
   f.sched.run();
   for (auto& p : procs) p.rethrow_if_failed();
-  // Still exact under escalation...
+  // Still exact under escalation (a read may pay a stale-directory probe,
+  // so each one runs the scheduler)...
   for (dsm::NodeId n = 0; n < 8; ++n) {
-    EXPECT_EQ(read_now(f, n, 5).value_or(-1), 48) << "node " << n;
+    std::optional<dsm::Word> out;
+    auto p = f.client.read(n, 5, &out);
+    f.sched.run();
+    p.rethrow_if_failed();
+    EXPECT_EQ(out.value_or(-1), 48) << "node " << n;
   }
   // ...and the budget of one abort forced at least one fallback.
   EXPECT_GT(f.store.txn_manager().contention().fallbacks_signalled(), 0u);
   std::uint64_t fallbacks = 0;
+  std::uint64_t dir_aborts = 0;
   for (shard::ShardId s = 0; s < f.store.shards(); ++s) {
     fallbacks += f.store.txn_fallbacks(s);
+    dir_aborts += f.store.aborts_dir_epoch(s);
   }
   EXPECT_GT(fallbacks, 0u);
+  EXPECT_GT(dir_aborts, 0u);
 }
 
 }  // namespace

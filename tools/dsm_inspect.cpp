@@ -4,7 +4,8 @@
 // (--journal-out, schema "optsync-journal/1") and the metrics document
 // (--metrics-out, schema "optsync-bench/5") — and answers the questions the
 // live report cannot: which orec stripes the aborts piled onto and who
-// owned them, what the elastic controller saw at each ladder step, how the
+// owned them, which stripes commits repaired under their locks instead of
+// aborting, what the elastic controller saw at each ladder step, how the
 // lease epochs churned, and whether the critical-path extraction explains
 // the latency tail.
 //
@@ -12,7 +13,8 @@
 //               --check-abort-sums --min-p99-named 0.95
 //
 // Exit status is nonzero on parse errors, schema violations (a txn_abort
-// record without its reason/stripe, an elastic decision without its
+// record without its reason/stripe, a txn_repair record without its
+// attribution or stale-stripe count, an elastic decision without its
 // triggering inputs), abort-partition mismatches (--check-abort-sums), or
 // a p99 critical-path named fraction below --min-p99-named — so the CI
 // forensics job is just this binary over the artifacts.
@@ -36,6 +38,11 @@ using stats::JsonValue;
 const std::set<std::string> kAbortReasons = {
     "read_set_clobber", "commit_validation", "directory_epoch",
     "fallback_escalation"};
+
+/// Fields every txn_repair record must carry: who repaired, where (the
+/// first stale stripe), on which attempt, and how many stripes it re-ran.
+const std::vector<std::string> kRepairFields = {"node", "shard", "stripe",
+                                                "attempt", "stale_stripes"};
 
 /// Fields every elastic_decision record must carry — the "exact inputs
 /// that triggered it" contract.
@@ -157,6 +164,71 @@ bool inspect_journal(const JsonValue& doc) {
   }
   std::cout << "\n";
 
+  // --- repair forensics ---------------------------------------------------
+  const auto& repair_records = by_kind["txn_repair"];
+  if (!repair_records.empty()) {
+    std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t>
+        repaired;
+    std::uint64_t repairs = 0;
+    std::uint64_t stale_total = 0;
+    std::uint64_t first_attempt = 0;
+    for (const JsonValue* rp : repair_records) {
+      const auto& r = *rp;
+      bool complete = true;
+      for (const auto& field : kRepairFields) {
+        if (!r.contains(field)) {
+          std::cerr << "SCHEMA ERROR: txn_repair record at t="
+                    << r["t"].as_uint() << " missing '" << field << "'\n";
+          complete = false;
+        }
+      }
+      if (complete && (r["stale_stripes"].as_uint() == 0 ||
+                       r["attempt"].as_uint() == 0)) {
+        std::cerr << "SCHEMA ERROR: txn_repair record at t="
+                  << r["t"].as_uint()
+                  << " has a zero stale_stripes or attempt\n";
+        complete = false;
+      }
+      if (!complete) {
+        ok = false;
+        continue;
+      }
+      ++repairs;
+      stale_total += r["stale_stripes"].as_uint();
+      if (r["attempt"].as_uint() == 1) ++first_attempt;
+      ++repaired[{r["shard"].as_uint(), r["stripe"].as_uint()}];
+    }
+    std::cout << "--- repair forensics (" << repairs
+              << " journaled repairs) ---\n";
+    if (repairs > 0) {
+      std::cout << "  " << stale_total << " stale stripes re-run under the "
+                << "commit locks (mean "
+                << static_cast<double>(stale_total) /
+                       static_cast<double>(repairs)
+                << " per repair); "
+                << pct(static_cast<double>(first_attempt) /
+                       static_cast<double>(repairs))
+                << " on the first attempt\n";
+      std::vector<std::pair<std::pair<std::uint64_t, std::uint64_t>,
+                            std::uint64_t>>
+          hot(repaired.begin(), repaired.end());
+      std::sort(hot.begin(), hot.end(), [](const auto& a, const auto& b) {
+        return a.second > b.second;
+      });
+      stats::Table t({"shard", "stripe", "repairs"});
+      const std::size_t show = std::min<std::size_t>(hot.size(), 10);
+      for (std::size_t i = 0; i < show; ++i) {
+        t.add_row({std::to_string(hot[i].first.first),
+                   std::to_string(hot[i].first.second),
+                   std::to_string(hot[i].second)});
+      }
+      std::cout << "most repaired stripes (top " << show << " of "
+                << hot.size() << "):\n";
+      t.print(std::cout);
+    }
+    std::cout << "\n";
+  }
+
   // --- elastic decision timeline -----------------------------------------
   const auto& decisions = by_kind["elastic_decision"];
   std::cout << "--- elastic decisions (" << decisions.size() << ") ---\n";
@@ -235,6 +307,7 @@ bool inspect_metrics(const JsonValue& doc, bool check_sums,
   // --- abort partition over "shard=N" rows --------------------------------
   std::uint64_t total_aborts = 0;
   std::uint64_t total_attr = 0;
+  std::uint64_t total_repairs = 0;
   std::size_t shard_rows = 0;
   bool sums_hold = true;
   for (const auto& row : rows) {
@@ -249,6 +322,9 @@ bool inspect_metrics(const JsonValue& doc, bool check_sums,
                                 row["aborts_dir_epoch"].as_uint();
     total_aborts += a;
     total_attr += parts;
+    if (row.contains("txn_repairs")) {
+      total_repairs += row["txn_repairs"].as_uint();
+    }
     if (parts != a) {
       std::cerr << "ABORT PARTITION MISMATCH: " << label << " has "
                 << a << " aborts but reasons sum to " << parts << "\n";
@@ -258,7 +334,8 @@ bool inspect_metrics(const JsonValue& doc, bool check_sums,
   if (shard_rows > 0) {
     std::cout << "abort partition: " << total_attr << "/" << total_aborts
               << " aborts attributed across " << shard_rows << " shards — "
-              << (sums_hold ? "exact" : "MISMATCH") << "\n";
+              << (sums_hold ? "exact" : "MISMATCH") << "; "
+              << total_repairs << " shard-commits repaired\n";
     if (check_sums && !sums_hold) ok = false;
   } else if (check_sums) {
     std::cerr << "ABORT PARTITION CHECK: no shard rows with txn_aborts in"

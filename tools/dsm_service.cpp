@@ -372,6 +372,8 @@ int main(int argc, char** argv) try {
     std::cout << "decision journal: " << journal.size() << " events ("
               << journal.count(telemetry::Journal::Kind::kTxnAbort)
               << " txn aborts, "
+              << journal.count(telemetry::Journal::Kind::kTxnRepair)
+              << " txn repairs, "
               << journal.count(telemetry::Journal::Kind::kLeaseGrant)
               << " lease grants, "
               << journal.count(telemetry::Journal::Kind::kLeaseInvalidation)
@@ -536,6 +538,7 @@ int main(int argc, char** argv) try {
         .set("txn_aborts", static_cast<double>(s.txn_aborts))
         .set("txn_retries", static_cast<double>(s.txn_retries))
         .set("txn_fallbacks", static_cast<double>(s.txn_fallbacks))
+        .set("txn_repairs", static_cast<double>(s.txn_repairs))
         .set("txn_abort_rate", s.txn_abort_rate())
         .set("aborts_read_clobber",
              static_cast<double>(s.aborts_read_clobber))
