@@ -144,11 +144,23 @@ void DsmSystem::transport_send(NodeId src, NodeId dst, unsigned hops,
 }
 
 void DsmSystem::send_direct(NodeId src, NodeId dst, std::uint32_t bytes,
-                            std::string_view tag,
-                            net::DeliveryFn on_delivery) {
+                            std::string_view tag, net::DeliveryFn on_delivery,
+                            telemetry::SpanContext ctx,
+                            telemetry::SpanKind wire) {
   OPTSYNC_EXPECT(src < nodes_.size() && dst < nodes_.size());
-  transport_send(src, dst, topo_->hop_count(src, dst), bytes, tag,
-                 std::move(on_delivery));
+  const unsigned hops = topo_->hop_count(src, dst);
+  if (!ctx.valid()) {
+    transport_send(src, dst, hops, bytes, tag, std::move(on_delivery));
+    return;
+  }
+  const sim::Time sent = sched_->now();
+  const sim::Duration base = net_.latency_hops(hops, bytes);
+  transport_send(src, dst, hops, bytes, tag,
+                 [this, ctx, wire, dst, sent, base,
+                  cb = std::move(on_delivery)]() mutable {
+                   record_flight_spans(ctx, wire, dst, sent, base);
+                   cb();
+                 });
 }
 
 void DsmSystem::share_out(NodeId origin, VarId v, Word value) {
@@ -171,7 +183,8 @@ void DsmSystem::share_out(NodeId origin, VarId v, Word value) {
   transport_send(
       origin, root, grp.up_hops(origin), bytes_for(v), tag,
       [this, g = info.group, origin, v, value, ctx, sent, base] {
-        record_up_spans(ctx, origin, sent, base);
+        record_flight_spans(ctx, telemetry::SpanKind::kWireUp, origin, sent,
+                            base);
         roots_[g]->on_arrival(origin, v, value, ctx);
       });
 }
@@ -211,7 +224,8 @@ void DsmSystem::share_out_lock_set(NodeId origin,
   transport_send(
       origin, root, grp.up_hops(origin), bytes, "lock-up",
       [this, g, origin, locks, value, ctx, sent, base] {
-        record_up_spans(ctx, origin, sent, base);
+        record_flight_spans(ctx, telemetry::SpanKind::kWireUp, origin, sent,
+                            base);
         roots_[g]->on_lock_set(origin, locks, value, ctx);
       });
 }
@@ -290,8 +304,8 @@ void DsmSystem::multicast_frame(GroupId g, Frame& frame) {
         if (traced) base = net_.latency_hops(grp.down_hops(m), bytes);
         transport_send(root, m, grp.down_hops(m), bytes, tag,
                        [this, m, g, payload, dispatch, base] {
-                         if (auto* trc = tracer()) {
-                           record_down_spans(*trc, *payload, m, dispatch, base);
+                         if (tracer() != nullptr) {
+                           record_down_spans(*payload, m, dispatch, base);
                          }
                          nodes_[m]->deliver_frame(g, *payload);
                        });
@@ -323,50 +337,39 @@ void DsmSystem::multicast_frame(GroupId g, Frame& frame) {
                                                 m, bytes, tag,
                                                 net::DeliveryKind::kNormal});
             }
-            if (traced) {
-              if (auto* trc = tracer()) {
-                record_down_spans(*trc, *payload, m, dispatch, fly);
-              }
-            }
+            if (traced) record_down_spans(*payload, m, dispatch, fly);
             nodes_[m]->deliver_frame(g, *payload);
           }
         });
   }
 }
 
-void DsmSystem::record_up_spans(telemetry::SpanContext ctx, NodeId origin,
-                                sim::Time sent, sim::Duration base) {
+void DsmSystem::record_flight_spans(telemetry::SpanContext ctx,
+                                    telemetry::SpanKind wire, NodeId node,
+                                    sim::Time sent, sim::Duration base) {
   auto* trc = tracer();
   if (trc == nullptr || !ctx.valid()) return;
-  // Split flight time into the fault-free base (kWireUp) and whatever
+  // Split flight time into the fault-free base (`wire`) and whatever
   // retransmission/backoff added on top (kRetransmit).
   const sim::Time now = sched_->now();
   const sim::Time base_end = std::min(sent + base, now);
-  trc->record_span(ctx.trace, ctx.span, telemetry::SpanKind::kWireUp, origin,
-                   sent, base_end);
+  trc->record_span(ctx.trace, ctx.span, wire, node, sent, base_end);
   if (now > base_end) {
     trc->record_span(ctx.trace, ctx.span, telemetry::SpanKind::kRetransmit,
-                     origin, base_end, now);
+                     node, base_end, now);
   }
 }
 
-void DsmSystem::record_down_spans(telemetry::Tracer& trc, const Frame& frame,
-                                  NodeId m, sim::Time dispatch,
-                                  sim::Duration base) {
+void DsmSystem::record_down_spans(const Frame& frame, NodeId m,
+                                  sim::Time dispatch, sim::Duration base) {
   // The down leg matters only to the trace whose grant this frame carries
   // for member m: the waiter is unblocked when the grant lands.
-  const sim::Time now = sched_->now();
   for (const SequencedWrite& w : frame.writes) {
     if (!w.ctx.valid()) continue;
     if (vars_[w.var].kind != VarKind::kLock) continue;
     if (!lock_granted_to(w.value, m)) continue;
-    const sim::Time base_end = std::min(dispatch + base, now);
-    trc.record_span(w.ctx.trace, w.ctx.span, telemetry::SpanKind::kWireDown, m,
-                    dispatch, base_end);
-    if (now > base_end) {
-      trc.record_span(w.ctx.trace, w.ctx.span, telemetry::SpanKind::kRetransmit,
-                      m, base_end, now);
-    }
+    record_flight_spans(w.ctx, telemetry::SpanKind::kWireDown, m, dispatch,
+                        base);
   }
 }
 

@@ -156,8 +156,16 @@ class DsmSystem {
   /// This is the client <-> shard-root RPC primitive of the service layer:
   /// lease grants, invalidations, and forwarded writes all travel here.
   /// `tag` must outlive the delivery (callers pass string literals).
+  ///
+  /// A leg that carries a traced op's context (`ctx` valid) records its
+  /// flight on arrival: the fault-free link delay as a `wire` span (kWireUp
+  /// toward the server, kWireDown for the reply) and any loss-recovery
+  /// delay on top as kRetransmit. Untraced legs (the default) record
+  /// nothing.
   void send_direct(NodeId src, NodeId dst, std::uint32_t bytes,
-                   std::string_view tag, net::DeliveryFn on_delivery);
+                   std::string_view tag, net::DeliveryFn on_delivery,
+                   telemetry::SpanContext ctx = {},
+                   telemetry::SpanKind wire = telemetry::SpanKind::kWireUp);
 
  private:
   /// Routes one substrate message through the reliable channel or the raw
@@ -166,15 +174,16 @@ class DsmSystem {
                       std::uint32_t bytes, std::string_view tag,
                       net::DeliveryFn on_delivery);
 
-  /// Records the wire-up (and any retransmit) telemetry spans of a traced
-  /// lock message that just reached its root.
-  void record_up_spans(telemetry::SpanContext ctx, NodeId origin,
-                       sim::Time sent, sim::Duration base);
+  /// Records the flight of a traced message that just arrived: `wire`
+  /// (kWireUp/kWireDown) for its fault-free base delay and kRetransmit for
+  /// whatever loss recovery added on top. No-op for an untraced context.
+  void record_flight_spans(telemetry::SpanContext ctx, telemetry::SpanKind wire,
+                           NodeId node, sim::Time sent, sim::Duration base);
 
   /// Records the wire-down (and any retransmit) telemetry spans for the
   /// traced lock grants a delivered frame carries for member `m`.
-  void record_down_spans(telemetry::Tracer& trc, const Frame& frame, NodeId m,
-                         sim::Time dispatch, sim::Duration base);
+  void record_down_spans(const Frame& frame, NodeId m, sim::Time dispatch,
+                         sim::Duration base);
 
   sim::Scheduler* sched_;
   const net::Topology* topo_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "simkern/assert.hpp"
 
@@ -27,12 +28,17 @@ void ReliableChannel::send(NodeId src, NodeId dst, unsigned hops,
   Flow& f = flows_[k];
   f.hops = hops;
   const std::uint64_t seq = f.next_seq++;
-  Packet& pkt = f.packets[seq];
+  const auto it = f.packets.try_emplace(seq).first;
+  Packet& pkt = it->second;
   pkt.hops = hops;
   pkt.bytes = bytes;
   pkt.tag = tag;
   pkt.on_delivery = std::move(on_delivery);
   pkt.first_sent = net_->scheduler().now();
+  pkt.ack_by = pkt.first_sent + path_rto(pkt);
+  if (it != f.packets.begin()) {
+    pkt.ack_by = std::max(pkt.ack_by, std::prev(it)->second.ack_by);
+  }
   stats_.data_packets += 1;
   transmit(k, seq, DeliveryKind::kNormal);
 }
@@ -49,10 +55,16 @@ void ReliableChannel::transmit(FlowKey k, std::uint64_t seq,
   // ack value is captured at transmit time — a retransmission of this packet
   // carries a fresh (possibly larger) cumulative ack. If the packet is lost
   // the piggybacked ack is lost with it; recovery is the sender's normal
-  // retransmit, whose duplicate triggers an immediate re-ack.
+  // retransmit, whose duplicate triggers an immediate re-ack. The ack rides
+  // only if this packet lands no later than the standalone ack would — a
+  // large frame must not hold it past the sender's path-sized timeout.
   if (cfg_.ack_delay_ns > 0) {
     const auto rit = flows_.find(reverse(k));
-    if (rit != flows_.end() && rit->second.ack_pending) {
+    const LinkModel& link = net_->link();
+    if (rit != flows_.end() && rit->second.ack_pending &&
+        net_->scheduler().now() + link.delay(pkt.hops, pkt.bytes) <=
+            rit->second.ack_due +
+                link.delay(rit->second.hops, cfg_.ack_bytes)) {
       Flow& rf = rit->second;
       rf.ack_pending = false;  // the armed timer sees this and stays silent
       const std::uint64_t next_expected = rf.next_release;
@@ -74,15 +86,23 @@ void ReliableChannel::transmit(FlowKey k, std::uint64_t seq,
   arm_timer(k, seq);
 }
 
+sim::Duration ReliableChannel::path_rto(const Packet& pkt) const {
+  const LinkModel& link = net_->link();
+  return 2 * (link.delay(pkt.hops, pkt.bytes) +
+              link.delay(pkt.hops, cfg_.ack_bytes)) +
+         cfg_.ack_delay_ns;
+}
+
 void ReliableChannel::arm_timer(FlowKey k, std::uint64_t seq) {
   Flow& f = flows_[k];
   Packet& pkt = f.packets.at(seq);
-  const double scaled = static_cast<double>(cfg_.rto_ns) *
+  const double scaled = static_cast<double>(path_rto(pkt)) *
                         std::pow(cfg_.backoff, pkt.attempts);
   const auto rto = std::min<sim::Duration>(
       cfg_.max_rto_ns, static_cast<sim::Duration>(scaled));
+  const sim::Time due = std::max(net_->scheduler().now() + rto, pkt.ack_by);
   pkt.timer =
-      net_->scheduler().after(rto, [this, k, seq] { on_timeout(k, seq); });
+      net_->scheduler().at(due, [this, k, seq] { on_timeout(k, seq); });
 }
 
 void ReliableChannel::on_timeout(FlowKey k, std::uint64_t seq) {
@@ -174,7 +194,8 @@ void ReliableChannel::note_ack_owed(FlowKey k) {
   Flow& f = flows_[k];
   f.ack_pending = true;
   if (f.ack_timer == 0) {
-    f.ack_timer = net_->scheduler().after(cfg_.ack_delay_ns, [this, k] {
+    f.ack_due = net_->scheduler().now() + cfg_.ack_delay_ns;
+    f.ack_timer = net_->scheduler().at(f.ack_due, [this, k] {
       Flow& fl = flows_[k];
       fl.ack_timer = 0;
       if (fl.ack_pending) send_ack(k);

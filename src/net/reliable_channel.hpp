@@ -8,6 +8,19 @@
 // retransmit with exponential backoff and a cap, duplicate suppression,
 // and in-order release to the caller's delivery callback.
 //
+// Timeouts are sized per packet from its own path, not from a constant:
+// the first is 2 x (data flight + ack flight) + ack_delay_ns, each flight
+// priced by the network's LinkModel for the packet's hops and bytes. A lost
+// packet is resent after about one round trip, as link-level hardware
+// retransmission would (§1.2), and a large frame waits longer than a small
+// control packet. On a loss-free fabric the timer never fires: the network
+// is latency-only and an ack leaves at release (or within ack_delay_ns), so
+// it lands within half the timeout. Two rules keep that bound. A packet's
+// first deadline is never before its predecessor's: acks are cumulative, so
+// a packet that overtook a larger predecessor is acked only with it. And a
+// delayed ack rides only a carrier that lands no later than the standalone
+// ack would.
+//
 // Layering: DsmSystem routes share_out / multicast traffic through a
 // ReliableChannel when faults are configured (or when explicitly enabled);
 // GWC total order then survives message loss because each root->member
@@ -31,11 +44,9 @@ struct ReliableConfig {
   /// cannot uphold GWC).
   bool enabled = false;
 
-  /// Initial retransmit timeout. Default ~ a few worst-case mesh round
-  /// trips, so the fault-free fast path never spuriously retransmits.
-  sim::Duration rto_ns = 30'000;
-
-  /// Timeout multiplier per retransmission of the same packet.
+  /// Timeout multiplier per retransmission of the same packet. The walk
+  /// starts from the packet's path-sized first timeout (see the header
+  /// comment), not from a configured constant.
   double backoff = 2.0;
 
   /// Ceiling on the backed-off timeout.
@@ -43,11 +54,13 @@ struct ReliableConfig {
 
   /// Retransmit cap: after this many retransmissions the packet is
   /// abandoned and counted in stats().expirations. A partition longer than
-  /// the whole backoff budget is a node failure, which is beyond this
-  /// layer's contract.
+  /// the whole backoff budget (~15 ms for a 1-hop control packet on the
+  /// paper's links) is a node failure, which is beyond this layer's
+  /// contract.
   unsigned max_retransmits = 16;
 
-  /// Wire size of an ack (header + cumulative sequence number).
+  /// Wire size of an ack (header + cumulative sequence number). Also sizes
+  /// the ack flight in every packet's first timeout.
   std::uint32_t ack_bytes = 12;
 
   /// Delayed-ack window. 0 (default) acks every release immediately — the
@@ -56,7 +69,8 @@ struct ReliableConfig {
   /// the cumulative ack rides in its header for free (acks_piggybacked) and
   /// no standalone ack is sent. Loss-recovery acks (dup suppression,
   /// out-of-order buffering) are never delayed — they are what stops a
-  /// retransmit storm.
+  /// retransmit storm. The window is added to every first timeout: a held
+  /// ack is still on time.
   sim::Duration ack_delay_ns = 0;
 };
 
@@ -112,6 +126,9 @@ class ReliableChannel {
     std::string_view tag;
     DeliveryFn on_delivery;  // cleared once released
     sim::Time first_sent;
+    // Earliest first-timeout deadline: first_sent + path_rto, but never
+    // before the previous packet's (its cumulative ack covers this one).
+    sim::Time ack_by = 0;
     unsigned attempts = 0;      // retransmissions so far
     sim::EventId timer = 0;     // 0 = no timer armed
     bool received = false;      // receiver end has consumed this seq
@@ -130,6 +147,7 @@ class ReliableChannel {
     // this flow and may be piggybacked on the next reverse-direction packet.
     bool ack_pending = false;
     sim::EventId ack_timer = 0;  // 0 = no standalone-ack timer armed
+    sim::Time ack_due = 0;       // when the armed standalone ack departs
   };
   using FlowKey = std::uint64_t;
   static FlowKey key(NodeId src, NodeId dst) {
@@ -142,6 +160,9 @@ class ReliableChannel {
   static FlowKey reverse(FlowKey k) { return key(key_dst(k), key_src(k)); }
 
   void transmit(FlowKey k, std::uint64_t seq, DeliveryKind kind);
+  /// First-attempt timeout of a packet: 2 x its path's data + ack flight
+  /// plus the delayed-ack window.
+  [[nodiscard]] sim::Duration path_rto(const Packet& pkt) const;
   void arm_timer(FlowKey k, std::uint64_t seq);
   void on_timeout(FlowKey k, std::uint64_t seq);
   void on_data(FlowKey k, std::uint64_t seq);

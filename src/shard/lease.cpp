@@ -264,13 +264,25 @@ sim::Process LeaseManager::client_read(dsm::NodeId n, ShardId shard,
     std::vector<dsm::Word> ks;
     std::vector<dsm::Word> vs;
   };
-  const sim::Time fetch_began = sched.now();
+  // A traced op's fetch is one lease-fetch span; every request/reply leg
+  // below nests under it, so the critical path shows each leg's wire and
+  // retransmit time and the gap between legs (the root's serve) as fetch.
+  auto* trc = sys_->tracer();
+  telemetry::SpanContext fetch{};
+  if (trc != nullptr) {
+    if (const auto ctx = trc->node_ctx(n); ctx.valid()) {
+      fetch = {ctx.trace,
+               trc->start_span(ctx.trace, ctx.span,
+                               telemetry::SpanKind::kLeaseFetch, n,
+                               sched.now())};
+    }
+  }
   for (;;) {
     auto rv = std::make_shared<Rendezvous>(sched);
     if (use_lease) {
       sys_->send_direct(
           n, dir.root, cfg_.ctrl_bytes, "lease-req",
-          [this, d = &dir, n, shard, ls, rv] {
+          [this, d = &dir, n, shard, ls, rv, fetch] {
             // Root side: the request queues FIFO on the node's RPC
             // serializer (arrival order fixes the slot); the handler runs
             // when its slot completes. It registers the holder at the
@@ -278,8 +290,8 @@ sim::Process LeaseManager::client_read(dsm::NodeId n, ShardId shard,
             // — value and epoch are read at one instant, so a grant can
             // never pair a new epoch with a superseded value (or vice
             // versa).
-            sys_->scheduler().after(serve_delay(d->root), [this, d, n,
-                                                           shard, ls, rv] {
+            sys_->scheduler().after(serve_delay(d->root), [this, d, n, shard,
+                                                           ls, rv, fetch] {
               ShardDir& dr = *d;
               const std::uint64_t epoch = dr.epoch[ls];
               const sim::Time expiry = sys_->scheduler().now() + cfg_.ttl_ns;
@@ -335,30 +347,35 @@ sim::Process LeaseManager::client_read(dsm::NodeId n, ShardId shard,
                     }
                     rv->done = true;
                     rv->sig.notify_all();
-                  });
+                  },
+                  fetch, telemetry::SpanKind::kWireDown);
             });
-          });
+          },
+          fetch);
     } else {
       sys_->send_direct(
           n, dir.root, cfg_.ctrl_bytes, "read-req",
-          [this, d = &dir, slot, n, rv] {
+          [this, d = &dir, slot, n, rv, fetch] {
             // Linearizable remote reads share the same RPC serializer as
             // grants — the server node is one instruction stream.
             sys_->scheduler().after(serve_delay(d->root), [this, d, slot, n,
-                                                           rv] {
+                                                           rv, fetch] {
               ShardDir& dr = *d;
               ++dr.counters.remote_reads;
               const dsm::Word k = dr.slot_key[slot];
               const dsm::Word v = dr.slot_val[slot];
               sys_->send_direct(dr.root, n, cfg_.ctrl_bytes + cfg_.data_bytes,
-                                "read-reply", [rv, k, v] {
+                                "read-reply",
+                                [rv, k, v] {
                                   rv->key_word = k;
                                   rv->val_word = v;
                                   rv->done = true;
                                   rv->sig.notify_all();
-                                });
+                                },
+                                fetch, telemetry::SpanKind::kWireDown);
             });
-          });
+          },
+          fetch);
     }
     while (!rv->done) co_await rv->sig.wait();
 
@@ -391,12 +408,7 @@ sim::Process LeaseManager::client_read(dsm::NodeId n, ShardId shard,
     // The grant lost a race with a newer invalidation: fetch again — each
     // retry grants at the newest epoch.
   }
-  if (auto* trc = sys_->tracer()) {
-    if (const auto ctx = trc->node_ctx(n); ctx.valid()) {
-      trc->record_span(ctx.trace, ctx.span, telemetry::SpanKind::kLeaseFetch,
-                       n, fetch_began, sched.now());
-    }
-  }
+  if (fetch.valid()) trc->end_span(fetch.span, sched.now());
 }
 
 bool LeaseManager::warm(dsm::NodeId n, ShardId shard,

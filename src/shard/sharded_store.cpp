@@ -30,12 +30,22 @@ struct FwdRendezvous {
 sim::Process ack_when_done(dsm::DsmSystem& sys, sim::Process op,
                            dsm::NodeId server, dsm::NodeId client,
                            std::uint32_t reply_bytes,
-                           std::shared_ptr<FwdRendezvous> rv) {
+                           std::shared_ptr<FwdRendezvous> rv,
+                           telemetry::SpanContext ctx) {
   co_await op.join();
-  sys.send_direct(server, client, reply_bytes, "svc-fwd-ack", [rv] {
-    rv->done = true;
-    rv->sig.notify_all();
-  });
+  sys.send_direct(
+      server, client, reply_bytes, "svc-fwd-ack",
+      [rv] {
+        rv->done = true;
+        rv->sig.notify_all();
+      },
+      ctx, telemetry::SpanKind::kWireDown);
+}
+
+/// The traced op in flight on node `n` (invalid when untraced).
+telemetry::SpanContext op_ctx(const dsm::DsmSystem& sys, dsm::NodeId n) {
+  const auto* trc = sys.tracer();
+  return trc != nullptr ? trc->node_ctx(n) : telemetry::SpanContext{};
 }
 
 /// Already-completed Process for paths that did all their work
@@ -331,12 +341,18 @@ sim::Process ShardedStore::forward_op(dsm::NodeId n, ShardId primary,
     co_return;
   }
   auto rv = std::make_shared<FwdRendezvous>(sys_->scheduler());
+  // Both legs carry the forwarding op's context: their flight (and any
+  // loss recovery) lands on its trace; the server-side run between them
+  // stays the op's own time.
+  const telemetry::SpanContext ctx = op_ctx(*sys_, n);
   sys_->send_direct(
       n, server, req_bytes, "svc-fwd",
-      [this, n, server, reply_bytes, rv, thunk = std::move(thunk)]() mutable {
+      [this, n, server, reply_bytes, rv, ctx,
+       thunk = std::move(thunk)]() mutable {
         (void)ack_when_done(*sys_, enqueue_proxy(server, std::move(thunk)),
-                            server, n, reply_bytes, rv);
-      });
+                            server, n, reply_bytes, rv, ctx);
+      },
+      ctx);
   while (!rv->done) co_await rv->sig.wait();
 }
 
@@ -816,14 +832,19 @@ sim::Process ShardedStore::redirect_probe(dsm::NodeId n, ShardId believed) {
   ++sh.redirects;
   if (n == sh.root) co_return;
   auto rv = std::make_shared<FwdRendezvous>(sys_->scheduler());
-  sys_->send_direct(n, sh.root, cfg_.lease.ctrl_bytes, "svc-redirect",
-                    [this, n, root = sh.root, rv] {
-                      sys_->send_direct(root, n, cfg_.lease.ctrl_bytes,
-                                        "svc-redirect-ack", [rv] {
-                                          rv->done = true;
-                                          rv->sig.notify_all();
-                                        });
-                    });
+  const telemetry::SpanContext ctx = op_ctx(*sys_, n);
+  sys_->send_direct(
+      n, sh.root, cfg_.lease.ctrl_bytes, "svc-redirect",
+      [this, n, root = sh.root, rv, ctx] {
+        sys_->send_direct(
+            root, n, cfg_.lease.ctrl_bytes, "svc-redirect-ack",
+            [rv] {
+              rv->done = true;
+              rv->sig.notify_all();
+            },
+            ctx, telemetry::SpanKind::kWireDown);
+      },
+      ctx);
   while (!rv->done) co_await rv->sig.wait();
 }
 

@@ -180,11 +180,13 @@ TEST(Coro, DroppingTheHandleDoesNotCancel) {
   // handle is only an observer.
   Scheduler s;
   bool finished = false;
+  // The closure must outlive its coroutine: the frame reads `finished`
+  // through the closure object, so only the Process handle leaves scope.
+  auto run = [&](Scheduler& sched) -> Process {
+    co_await delay(sched, 50);
+    finished = true;
+  };
   {
-    auto run = [&](Scheduler& sched) -> Process {
-      co_await delay(sched, 50);
-      finished = true;
-    };
     auto p = run(s);
     // p goes out of scope here, before the coroutine resumes.
   }

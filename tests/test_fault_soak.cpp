@@ -285,5 +285,32 @@ TEST(FaultSoak, ExplicitReliableWithoutFaultsIsTransparent) {
   EXPECT_GT(reliable.messages, plain.messages);  // the acks
 }
 
+TEST(FaultSoak, DelayedAcksWithoutFaultsAreTransparent) {
+  // The same run with delayed/piggybacked acks, on the small torus and a
+  // 4x4 one: every path-sized first timeout includes the ack window, so a
+  // loss-free fiber still sees zero retransmissions at any window length.
+  for (const unsigned side : {2u, 4u}) {
+    const net::MeshTorus2D topo(side, side);
+    workloads::CounterParams base;
+    base.increments_per_node = 6;
+    const auto plain = workloads::run_counter(
+        workloads::CounterMethod::kOptimisticGwc, base, topo);
+    for (const sim::Duration delay : {200u, 1'000u, 5'000u}) {
+      workloads::CounterParams rel = base;
+      rel.dsm.reliable.enabled = true;
+      rel.dsm.reliable.ack_delay_ns = delay;
+      const auto reliable = workloads::run_counter(
+          workloads::CounterMethod::kOptimisticGwc, rel, topo);
+      EXPECT_EQ(reliable.final_count, reliable.expected_count)
+          << side << "x" << side << " ack delay " << delay;
+      EXPECT_EQ(reliable.final_count, plain.final_count);
+      EXPECT_EQ(reliable.faults.retransmits, 0u)
+          << side << "x" << side << " ack delay " << delay;
+      EXPECT_GT(reliable.faults.acks_sent + reliable.faults.acks_piggybacked,
+                0u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace optsync

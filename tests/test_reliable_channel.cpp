@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,14 @@ struct Harness {
   Network net{sched, topo, LinkModel::paper()};
   ReliableChannel rel{net, ReliableConfig{}};
 };
+
+// The first-attempt timeout contract with immediate acks, restated from the
+// link model: twice the data + ack flight of the packet's own path.
+sim::Duration path_rto(unsigned hops, std::uint32_t bytes) {
+  const LinkModel link = LinkModel::paper();
+  return 2 * (link.delay(hops, bytes) +
+              link.delay(hops, ReliableConfig{}.ack_bytes));
+}
 
 TEST(ReliableChannel, FaultFreeDeliversInOrderAndDrains) {
   Harness h;
@@ -69,8 +78,52 @@ TEST(ReliableChannel, RetransmitRecoversFromDrops) {
   EXPECT_EQ(h.rel.stats().expirations, 0u);
   EXPECT_EQ(h.rel.in_flight(), 0u);
   // Recovery is visible in the latency accounting: a retransmitted packet
-  // arrived at least one RTO late.
-  EXPECT_GE(h.rel.stats().max_delivery_delay_ns, h.rel.config().rto_ns);
+  // arrived at least one of its path-sized timeouts late.
+  EXPECT_GE(h.rel.stats().max_delivery_delay_ns, path_rto(1, 16));
+}
+
+TEST(ReliableChannel, TailLossCostsOnePathRtoPlusOneFlight) {
+  // A lone packet whose first copy is lost: no later packet on the flow can
+  // provoke an out-of-order ack, so only the timer recovers it. Delivery is
+  // exactly one path-sized timeout plus one flight after the send.
+  Harness h;
+  bool drop_one = true;
+  h.net.set_fault_hook([&drop_one](const MessageMeta& m) {
+    FaultAction act;
+    if (m.tag == "m" && drop_one) {
+      drop_one = false;
+      act.drop = true;
+    }
+    return act;
+  });
+  sim::Time delivered_at = 0;
+  h.rel.send(0, 3, 2, 16, "m", [&] { delivered_at = h.sched.now(); });
+  h.sched.run();
+  const sim::Time expected =
+      path_rto(2, 16) + LinkModel::paper().delay(2, 16);
+  EXPECT_EQ(delivered_at, expected);
+  EXPECT_EQ(h.rel.stats().max_delivery_delay_ns, expected);
+  EXPECT_EQ(h.rel.stats().retransmits, 1u);
+  EXPECT_EQ(h.rel.in_flight(), 0u);
+}
+
+TEST(ReliableChannel, MixedSizesOnALossFreeFlowNeverRetransmit) {
+  // A 1.5 KB frame and a 16 B control packet share one flow, in both send
+  // orders. The small packet overtakes the large one on the wire and waits
+  // for it; neither timer may fire before the cumulative ack lands.
+  for (const bool large_first : {true, false}) {
+    Harness h;
+    std::vector<int> order;
+    const std::uint32_t first = large_first ? 1500 : 16;
+    const std::uint32_t second = large_first ? 16 : 1500;
+    h.rel.send(0, 1, 1, first, "m", [&order] { order.push_back(0); });
+    h.rel.send(0, 1, 1, second, "m", [&order] { order.push_back(1); });
+    h.sched.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1})) << "large_first " << large_first;
+    EXPECT_EQ(h.rel.stats().retransmits, 0u) << "large_first " << large_first;
+    EXPECT_EQ(h.rel.stats().dup_suppressed, 0u);
+    EXPECT_EQ(h.rel.in_flight(), 0u);
+  }
 }
 
 TEST(ReliableChannel, InjectedDuplicatesAreSuppressed) {
@@ -157,6 +210,48 @@ TEST(ReliableChannel, RetransmitCapAbandonsAndCounts) {
   EXPECT_EQ(rel.in_flight(), 1u);
 }
 
+TEST(ReliableChannel, BackoffWalkFromPathBaseHitsCeilingAndCap) {
+  // A permanently dark flow under the default config: the timers double
+  // from the packet's path-sized base, clamp at max_rto_ns, and the packet
+  // expires after exactly max_retransmits resends.
+  sim::Scheduler sched;
+  const MeshTorus2D topo(2, 2);
+  Network net(sched, topo, LinkModel::paper());
+  const ReliableConfig cfg;
+  ReliableChannel rel(net, cfg);
+  std::vector<sim::Time> sends;
+  net.set_fault_hook([&sends](const MessageMeta& m) {
+    sends.push_back(m.sent_at);
+    FaultAction act;
+    act.drop = true;
+    return act;
+  });
+  sim::Time expired_at = 0;
+  net.set_trace_hook([&expired_at](const MessageTrace& t) {
+    if (t.kind == DeliveryKind::kExpired) expired_at = t.delivered_at;
+  });
+  int delivered = 0;
+  rel.send(0, 1, 1, 16, "void", [&] { ++delivered; });
+  sched.run();
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(rel.stats().retransmits, cfg.max_retransmits);
+  EXPECT_EQ(rel.stats().expirations, 1u);
+  ASSERT_EQ(sends.size(), cfg.max_retransmits + 1u);
+  // Each gap is the previous attempt's timer: base * backoff^i, capped.
+  sim::Duration timer = path_rto(1, 16);
+  sim::Time t = 0;
+  for (std::size_t i = 0; i < sends.size(); ++i) {
+    EXPECT_EQ(sends[i], t) << "attempt " << i;
+    t += std::min(timer, cfg.max_rto_ns);
+    timer = static_cast<sim::Duration>(static_cast<double>(timer) *
+                                       cfg.backoff);
+  }
+  EXPECT_EQ(expired_at, t);
+  // The walk reached the ceiling: the last timers all ran at max_rto_ns.
+  EXPECT_EQ(sends.back() - sends[sends.size() - 2], cfg.max_rto_ns);
+  EXPECT_EQ(expired_at - sends.back(), cfg.max_rto_ns);
+}
+
 TEST(ReliableChannel, TraceDistinguishesRetransmitAndSuppression) {
   Harness h;
   int to_drop = 1;
@@ -212,9 +307,14 @@ TEST(ReliableChannel, AckBeforeFirstReleaseErasesNothing) {
   std::vector<int> order;
   h.rel.send(0, 1, 1, 16, "m", [&order] { order.push_back(0); });
   h.rel.send(0, 1, 1, 16, "m", [&order] { order.push_back(1); });
-  // Run just past the out-of-order ack's arrival: both packets must still be
-  // tracked (nothing falsely acked), and none abandoned.
-  h.sched.run_until(h.rel.config().rto_ns / 2);
+  // Run to the out-of-order ack's arrival (packet 1's flight plus the ack's),
+  // which precedes packet 0's timeout: both packets must still be tracked
+  // (nothing falsely acked), and none abandoned.
+  const LinkModel link = LinkModel::paper();
+  const sim::Time ack_lands =
+      link.delay(1, 16) + link.delay(1, h.rel.config().ack_bytes);
+  ASSERT_LT(ack_lands, path_rto(1, 16));
+  h.sched.run_until(ack_lands);
   EXPECT_TRUE(order.empty());
   EXPECT_EQ(h.rel.in_flight(), 2u);
   EXPECT_EQ(h.rel.stats().expirations, 0u);
@@ -236,25 +336,30 @@ TEST(ReliableChannel, ExpiredThenAckedPacketIsToleratedAndCounted) {
   const MeshTorus2D topo(2, 2);
   Network net(sched, topo, LinkModel::paper());
   ReliableConfig cfg;
-  cfg.rto_ns = 1'000;
-  cfg.max_retransmits = 2;  // expired by t = 1000 + 2000 + 4000 = 7000
+  cfg.max_retransmits = 2;
   ReliableChannel rel(net, cfg);
-  // Every ack is lost until t = 10us: packet 0 is delivered immediately but
+  // Timeline from the link model: the packet's timers walk rto, 2 rto and
+  // 4 rto, so the sender abandons it at 7 rto; the fault heals one rto
+  // after that.
+  const sim::Duration rto = path_rto(1, 16);
+  const sim::Time expired_at = 7 * rto;
+  const sim::Time heal = expired_at + rto;
+  // Every ack is lost until `heal`: packet 0 is delivered immediately but
   // the sender never hears so, retransmits to the cap, and abandons it.
-  net.set_fault_hook([&sched](const MessageMeta& m) {
+  net.set_fault_hook([&sched, heal](const MessageMeta& m) {
     FaultAction act;
-    act.drop = m.tag == "rel-ack" && sched.now() < 10'000;
+    act.drop = m.tag == "rel-ack" && sched.now() < heal;
     return act;
   });
   std::vector<int> order;
   rel.send(0, 1, 1, 16, "m", [&order] { order.push_back(0); });
-  sched.run_until(9'000);
+  sched.run_until(expired_at);
   EXPECT_EQ(order, (std::vector<int>{0}));  // receiver got it long ago
   EXPECT_EQ(rel.stats().expirations, 1u);   // sender gave up on it
   EXPECT_EQ(rel.in_flight(), 1u);
   // A second packet (acks now flow) produces a cumulative ack covering the
   // abandoned packet. The ack must settle it, not crash.
-  sched.at(20'000, [&rel, &order] {
+  sched.at(heal, [&rel, &order] {
     rel.send(0, 1, 1, 16, "m", [&order] { order.push_back(1); });
   });
   sched.run();
@@ -274,24 +379,27 @@ TEST(ReliableChannel, WedgedFlowIsRevivedByLaterAck) {
   const MeshTorus2D topo(2, 2);
   Network net(sched, topo, LinkModel::paper());
   ReliableConfig cfg;
-  cfg.rto_ns = 1'000;
   cfg.max_retransmits = 2;
   ReliableChannel rel(net, cfg);
-  // Packet 0 ("head") is dark until t = 10us — original and all retransmits
-  // die, so the sender abandons it at t = 7us.
-  net.set_fault_hook([&sched](const MessageMeta& m) {
+  // Same link-model timeline as above: abandoned at 7 rto, healed at 8 rto.
+  const sim::Duration rto = path_rto(1, 16);
+  const sim::Time expired_at = 7 * rto;
+  const sim::Time heal = expired_at + rto;
+  // Packet 0 ("head") is dark until `heal` — original and all retransmits
+  // die, so the sender abandons it at `expired_at`.
+  net.set_fault_hook([&sched, heal](const MessageMeta& m) {
     FaultAction act;
-    act.drop = m.tag == "head" && sched.now() < 10'000;
+    act.drop = m.tag == "head" && sched.now() < heal;
     return act;
   });
   std::vector<int> order;
   rel.send(0, 1, 1, 16, "head", [&order] { order.push_back(0); });
-  sched.run_until(9'000);
+  sched.run_until(expired_at);
   EXPECT_TRUE(order.empty());
   EXPECT_EQ(rel.stats().expirations, 1u);
   // Packet 1 arrives out of order; the receiver's ack says "still expecting
   // 0", which revives the abandoned head and unwedges the flow.
-  sched.at(20'000, [&rel, &order] {
+  sched.at(heal, [&rel, &order] {
     rel.send(0, 1, 1, 16, "tail", [&order] { order.push_back(1); });
   });
   sched.run();
@@ -346,6 +454,33 @@ TEST(ReliableChannel, AckRidesOnReverseTraffic) {
   // The piggybacked release never also went out standalone; only the final
   // reverse packet (no forward traffic left to ride) costs an ack message.
   EXPECT_LE(rel.stats().acks_sent, 1u);
+}
+
+TEST(ReliableChannel, DelayedAckSkipsACarrierThatLandsLate) {
+  // Reverse traffic inside the ack window is a 1.5 KB frame: carrying the
+  // ack would land it long after the sender's path-sized timeout, so the
+  // ack leaves standalone at the window's end and nothing is retransmitted.
+  // A small reverse packet in the same window still carries it.
+  for (const std::uint32_t rev_bytes : {1500u, 16u}) {
+    sim::Scheduler sched;
+    MeshTorus2D topo(2, 2);
+    Network net(sched, topo, LinkModel::paper());
+    ReliableConfig cfg;
+    cfg.ack_delay_ns = 1'000;
+    ReliableChannel rel(net, cfg);
+    rel.send(0, 1, 1, 16, "fwd", [] {});
+    // Released at the forward flight; the reverse send comes late in the
+    // window, where a large carrier would land well past the timeout.
+    const sim::Time rev_at = LinkModel::paper().delay(1, 16) + 900;
+    sched.at(rev_at, [&rel, rev_bytes] {
+      rel.send(1, 0, 1, rev_bytes, "rev", [] {});
+    });
+    sched.run();
+    EXPECT_EQ(rel.stats().retransmits, 0u) << "rev_bytes " << rev_bytes;
+    EXPECT_EQ(rel.stats().acks_piggybacked, rev_bytes == 16 ? 1u : 0u)
+        << "rev_bytes " << rev_bytes;
+    EXPECT_EQ(rel.in_flight(), 0u);
+  }
 }
 
 TEST(ReliableChannel, IdleFlowFallsBackToStandaloneAck) {

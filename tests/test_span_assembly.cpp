@@ -8,6 +8,8 @@
 // fault schedules disjoint from the other soak suites.
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
 #include "dsm/system.hpp"
 #include "faults/fault_plan.hpp"
 #include "load/generator.hpp"
@@ -127,6 +129,72 @@ TEST_P(SpanAssemblyFaultSoak, TreesSurviveDropAndPartition) {
 
 INSTANTIATE_TEST_SUITE_P(DropPartitionSeeds, SpanAssemblyFaultSoak,
                          ::testing::Range<std::uint64_t>(1100, 1122));
+
+// The service RPC legs (lease fetches, forwarded writes) carry the op's
+// context too: under loss their retransmissions land on the op's critical
+// path as their own bucket, nested under the lease fetch for reads and
+// directly under the request for forwarded writes.
+TEST(SpanAssembly, ServiceRpcLegsShowTheirLossRecovery) {
+  sim::Scheduler sched;
+  const net::MeshTorus2D topo = net::MeshTorus2D::near_square(8);
+  telemetry::Tracer tracer;
+  dsm::DsmConfig cfg;
+  faults::FaultPlan plan(1150);
+  plan.drop(0.10, "lease").drop(0.10, "svc");
+  cfg.faults = plan;
+  cfg.tracer = &tracer;
+  dsm::DsmSystem sys(sched, topo, cfg);
+
+  shard::ShardedStoreConfig scfg;
+  scfg.shards = 4;
+  scfg.lease.server_nodes = 4;
+  scfg.lease.enabled = true;
+  shard::ShardedStore store(sys, scfg);
+
+  load::GeneratorConfig gcfg;
+  gcfg.seed = 1150;
+  gcfg.requests = 400;
+  gcfg.rate_rps = 80'000.0;
+  gcfg.read_fraction = 0.80;
+  gcfg.txn_fraction = 0.0;
+  gcfg.keys.dist = load::KeyDist::kZipfian;
+  gcfg.keys.keys = 256;
+  gcfg.read_level = shard::ConsistencyLevel::kLeased;
+  load::Generator gen(gcfg);
+  TracedRun run;
+  run.requests = gcfg.requests;
+  shard::Client client(store);
+  auto drive = gen.run(client, run.report);
+  sched.run();
+  drive.rethrow_if_failed();
+  store.fill_report(run.report);
+  ASSERT_TRUE(gen.done());
+  EXPECT_GT(run.report.faults.drops_injected, 0u);
+
+  const telemetry::Analysis an = tracer.analyze();
+  EXPECT_EQ(an.orphan_spans, 0u);
+  EXPECT_EQ(an.incomplete_ops, 0u);
+  EXPECT_EQ(an.open_spans, 0u);
+  EXPECT_EQ(an.ops.size(), run.requests);
+  EXPECT_GT(an.path_totals[static_cast<std::size_t>(
+                telemetry::Bucket::kRetransmit)],
+            0u);
+
+  std::unordered_map<telemetry::SpanId, telemetry::SpanKind> kind_of;
+  tracer.for_each_span(
+      [&kind_of](const telemetry::Span& sp) { kind_of[sp.id] = sp.kind; });
+  std::size_t under_fetch = 0;
+  std::size_t under_request = 0;
+  tracer.for_each_span([&](const telemetry::Span& sp) {
+    if (sp.kind != telemetry::SpanKind::kRetransmit) return;
+    const auto it = kind_of.find(sp.parent);
+    if (it == kind_of.end()) return;
+    under_fetch += it->second == telemetry::SpanKind::kLeaseFetch;
+    under_request += it->second == telemetry::SpanKind::kRequest;
+  });
+  EXPECT_GT(under_fetch, 0u);    // lease-req / lease-grant legs
+  EXPECT_GT(under_request, 0u);  // svc-fwd / svc-fwd-ack legs
+}
 
 // --- overload detection acceptance pair ---------------------------------
 
