@@ -226,9 +226,6 @@ class Harness {
   [[nodiscard]] std::uint32_t coalesce_max_writes() const {
     return coalesce_max_writes_;
   }
-  [[nodiscard]] sim::Duration coalesce_max_ns() const {
-    return coalesce_max_ns_;
-  }
   [[nodiscard]] sim::Duration ack_delay_ns() const { return ack_delay_ns_; }
 
   [[nodiscard]] bool tracing() const { return !trace_out_.empty(); }

@@ -29,7 +29,6 @@
 #include "load/generator.hpp"
 #include "net/topology.hpp"
 #include "shard/client.hpp"
-#include "shard/coalesce_controller.hpp"
 #include "shard/sharded_store.hpp"
 #include "stats/table.hpp"
 #include "telemetry/sampler.hpp"
@@ -399,102 +398,6 @@ int main(int argc, char** argv) try {
         .set("checker_ok", checker.ok() ? 1.0 : 0.0);
   }
 
-  // --- adaptive coalescing vs unbatched -----------------------------------
-  // Same saturated 4-shard workload twice: once unbatched (the default),
-  // once with the telemetry-driven CoalesceController setting each shard's
-  // frame cap from its live backlog. The controller must cut the message
-  // count materially without giving up goodput — batching only where the
-  // backlog proves it free.
-  {
-    struct AdaptiveResult {
-      stats::ServiceReport report;
-      bool converged = false;
-      std::uint32_t peak_cap = 1;
-      std::uint64_t raises = 0;
-    };
-    auto run_once = [&](bool adaptive) {
-      sim::Scheduler sched;
-      const auto topo = net::MeshTorus2D::near_square(nodes);
-      dsm::DsmConfig cfg;
-      harness.apply(cfg);
-      dsm::DsmSystem sys(sched, topo, cfg);
-      shard::ShardedStoreConfig scfg;
-      scfg.shards = 4;
-      shard::ShardedStore store(sys, scfg);
-      load::GeneratorConfig gcfg;
-      gcfg.seed = harness.seed() ^ 0xadab7ull;  // same seed both runs
-      // Long enough that the steady state dominates: goodput is
-      // completed/elapsed, and a short run charges the final frames' fill
-      // latency against the whole quotient.
-      gcfg.requests = std::max<std::uint64_t>(requests_per_shard, 2400) * 4;
-      // Well past the ~400k req/s a single shard sustains: the backlog
-      // signal must actually fire, or the controller (correctly) leaves
-      // every cap at the floor and this stage measures nothing.
-      gcfg.rate_rps = 1'000'000.0 * 4;
-      gcfg.keys.keys = 1024;
-      gcfg.read_fraction = 0.25;
-      gcfg.txn_fraction = 0.05;
-      load::Generator gen(gcfg);
-      AdaptiveResult res;
-      shard::Client client(store);
-      auto drive = gen.run(client, res.report);
-      shard::CoalesceController ctrl(store, res.report);
-      if (adaptive) ctrl.start();
-      sched.run();
-      store.fill_report(res.report);
-      res.converged = store.replicas_converged();
-      for (std::uint32_t s = 0; s < store.shards(); ++s) {
-        res.peak_cap = std::max(res.peak_cap, ctrl.peak_cap(s));
-        res.raises += ctrl.raises(s);
-      }
-      if (!gen.done()) throw std::runtime_error("generator did not finish");
-      return res;
-    };
-    const auto fixed = run_once(false);
-    const auto adaptive = run_once(true);
-    const double msg_ratio =
-        adaptive.report.messages == 0
-            ? 0.0
-            : static_cast<double>(fixed.report.messages) /
-                  static_cast<double>(adaptive.report.messages);
-    const double goodput_ratio =
-        fixed.report.goodput_rps() == 0
-            ? 0.0
-            : adaptive.report.goodput_rps() / fixed.report.goodput_rps();
-    std::cout << "--- adaptive coalescing (4 shards, 1M req/s per shard,"
-                 " saturated) ---\n"
-              << "unbatched: " << fixed.report.messages << " messages, "
-              << static_cast<std::uint64_t>(fixed.report.goodput_rps())
-              << " req/s goodput\n"
-              << "adaptive:  " << adaptive.report.messages << " messages, "
-              << static_cast<std::uint64_t>(adaptive.report.goodput_rps())
-              << " req/s goodput (peak cap " << adaptive.peak_cap << ", "
-              << adaptive.raises << " raises)\n"
-              << "message reduction " << stats::Table::num(msg_ratio)
-              << "x at " << stats::Table::num(100.0 * goodput_ratio)
-              << "% of unbatched goodput\n\n";
-    if (msg_ratio < 1.3 || goodput_ratio < 0.9) {
-      std::cout << "ADAPTIVE COALESCING REGRESSION: need >= 1.3x message "
-                   "reduction at >= 90% goodput\n";
-      ok = false;
-    }
-    if (!fixed.report.serializable() || !fixed.converged ||
-        !adaptive.report.serializable() || !adaptive.converged) {
-      std::cout << "SERVICE INVARIANT VIOLATION in the adaptive stage\n";
-      ok = false;
-    }
-    metrics.row("adaptive_coalescing")
-        .set("messages_unbatched", static_cast<double>(fixed.report.messages))
-        .set("messages_adaptive",
-             static_cast<double>(adaptive.report.messages))
-        .set("message_ratio", msg_ratio)
-        .set("goodput_unbatched_rps", fixed.report.goodput_rps())
-        .set("goodput_adaptive_rps", adaptive.report.goodput_rps())
-        .set("goodput_ratio", goodput_ratio)
-        .set("peak_cap", static_cast<double>(adaptive.peak_cap))
-        .set("cap_raises", static_cast<double>(adaptive.raises));
-  }
-
   // --- leased read replicas (partial replication, read-heavy) -------------
   // Sixteen shards whose groups span only nodes [0, 4); the other twelve
   // nodes are pure clients. Under a 95/5 read/write Zipfian mix every
@@ -843,10 +746,10 @@ int main(int argc, char** argv) try {
   if (ok) {
     std::cout << "peak goodput increased monotonically with the shard "
                  "count; all runs serializable and convergent; streams "
-                 "verified; adaptive coalescing holding goodput; leased "
-                 "reads delivering the read-heavy speedup within the "
-                 "staleness bound; the elastic fabric outrunning the static "
-                 "one after the hotspot shift with a clean checker\n";
+                 "verified; leased reads delivering the read-heavy "
+                 "speedup within the staleness bound; the elastic fabric "
+                 "outrunning the static one after the hotspot shift with a "
+                 "clean checker\n";
   }
   return harness.finish() && ok ? 0 : 1;
 }

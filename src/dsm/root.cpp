@@ -41,16 +41,6 @@ const GroupRoot::LockState& GroupRoot::lock_state(VarId lock) const {
   return e != nullptr ? e->state : kIdle;
 }
 
-void GroupRoot::set_coalesce(std::uint32_t max_writes, sim::Duration max_ns) {
-  coalesce_writes_ = std::max(1u, max_writes);
-  coalesce_ns_ = max_ns;
-  // A shrunken cap applies to the open frame too: flush it if it is already
-  // at or past the new size, so lowering the cap takes effect immediately.
-  if (pending_.writes.size() >= coalesce_writes_) {
-    flush_pending(/*timer_fired=*/false);
-  }
-}
-
 void GroupRoot::on_arrival(NodeId origin, VarId v, Word value,
                            telemetry::SpanContext ctx) {
   const VarInfo& info = sys_->var(v);
@@ -246,9 +236,7 @@ void GroupRoot::multicast(VarId v, Word value, NodeId origin,
   // grant emitted right after a release (handle_lock_write) lands in the
   // same frame as the releasing holder's final data writes (§2). At
   // coalesce_max_writes == 1 the size cap fires on every write and this is
-  // exactly the old ship-immediately path. The knobs are per-root members
-  // (seeded from DsmConfig) so the adaptive controller can tune one shard
-  // without touching its neighbours.
+  // exactly the old ship-immediately path.
   pending_.writes.push_back(
       SequencedWrite{seq, v, value, origin, ctx, sys_->scheduler().now()});
   // Lock cut-through: a lock word is a grant or release on some waiter's

@@ -86,19 +86,6 @@ class GroupRoot {
     return pending_.writes.size();
   }
 
-  // --- per-root coalescing override -------------------------------------
-  /// Overrides the system-wide coalescing knobs for THIS root only. The
-  /// adaptive per-shard controller (shard/coalesce_controller.hpp) drives
-  /// these from live telemetry: a backlogged root batches aggressively, an
-  /// idle one ships every write immediately. Roots start at the DsmConfig
-  /// values. A cap of 0 is clamped to 1. Takes effect from the next
-  /// sequenced write; an open frame keeps its armed deadline.
-  void set_coalesce(std::uint32_t max_writes, sim::Duration max_ns);
-  [[nodiscard]] std::uint32_t coalesce_max_writes() const {
-    return coalesce_writes_;
-  }
-  [[nodiscard]] sim::Duration coalesce_max_ns() const { return coalesce_ns_; }
-
   // --- frame observation -------------------------------------------------
   /// Hook invoked on every frame flush, after the flush is sequenced but
   /// before the frame is multicast (the writes vector is swapped into the
@@ -208,8 +195,9 @@ class GroupRoot {
   Frame pending_;                 ///< open frame awaiting flush
   FrameObserver observer_;        ///< flush tap (lease directory)
   sim::EventId flush_timer_ = 0;  ///< 0 = not armed
-  std::uint32_t coalesce_writes_;
-  sim::Duration coalesce_ns_;
+  /// Frame size cap and partial-frame deadline, read from DsmConfig once.
+  const std::uint32_t coalesce_writes_;
+  const sim::Duration coalesce_ns_;
   bool quiesced_ = false;
   std::vector<HeldArrival> handoff_log_;
   MigrationStats mig_stats_;

@@ -27,8 +27,8 @@
 // at any time; demotion requires `cold_ticks` consecutive cold windows.
 //
 // Determinism: ticks are ordinary housekeeping events off the sim
-// scheduler, re-armed only while the simulation is busy (the Sampler /
-// CoalesceController idiom); decisions read only deterministic state.
+// scheduler, re-armed only while the simulation is busy (the Sampler
+// idiom); decisions read only deterministic state.
 #pragma once
 
 #include <cstdint>

@@ -38,6 +38,7 @@ RtOptimisticMutex::Outcome RtOptimisticMutex::execute(NodeId n,
     st.variables_saved = false;
     st.pending_rollback = false;
     st.granted = false;
+    st.foreign_seen = false;
   }
 
   // Request the lock: atomically swap the local copy (Fig. 4 lines 03-04).
@@ -69,6 +70,9 @@ RtOptimisticMutex::Outcome RtOptimisticMutex::execute(NodeId n,
           // which the requesting thread performs.
           st.pending_rollback = true;
           resume = false;
+        } else {
+          // Nothing saved yet: latch it for the save point to act on.
+          st.foreign_seen = true;
         }
       }
     }
@@ -106,15 +110,26 @@ RtOptimisticMutex::Outcome RtOptimisticMutex::execute(NodeId n,
       saved_values[i] = sys.read(n, sec.shared_writes[i]);
     }
     if (sec.save_locals) sec.save_locals();
+    // Another node's grant that landed between the exchange and this point
+    // found nothing to roll back: its interrupt latched it and resumed
+    // insharing. The root filters our writes while that node holds the
+    // lock, so the section fails its speculation here, before the body
+    // runs, and re-runs once under our own grant. Insharing is already
+    // flowing, so it is not resumed a second time.
+    bool rolled_back;
     {
       std::lock_guard lk(st.mu);
-      st.variables_saved = true;
+      rolled_back = st.foreign_seen;
+      st.variables_saved = !rolled_back;
     }
 
-    sec.body(n);  // speculative: the sequencer filters our shared writes
-                  // until the grant is ours
+    if (rolled_back) {
+      if (sec.restore_locals) sec.restore_locals();
+    } else {
+      sec.body(n);  // speculative: the sequencer filters our shared writes
+                    // until the grant is ours
+    }
 
-    bool rolled_back = false;
     for (;;) {
       std::unique_lock lk(st.mu);
       if (st.pending_rollback) {

@@ -90,6 +90,9 @@ class RtOptimisticMutex {
     bool variables_saved = false;
     bool pending_rollback = false;
     bool granted = false;
+    /// Another node's grant arrived before variables_saved: the root is
+    /// filtering this node's writes, so it must not count a speculation.
+    bool foreign_seen = false;
   };
 
   NodeState& state(NodeId n);

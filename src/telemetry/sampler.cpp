@@ -60,7 +60,7 @@ void Sampler::tick() {
   pending_ = 0;
   sample_now(sched_->now());
   // Re-arm only while the simulation is still doing real work; the run
-  // must drain, and another housekeeping loop (the coalesce controller,
+  // must drain, and another housekeeping loop (the elastic controller,
   // say) must not read as work or the two keep each other alive forever.
   if (sched_->busy()) {
     pending_ = sched_->after_housekeeping(cfg_.interval_ns, [this] { tick(); });

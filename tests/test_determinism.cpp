@@ -14,19 +14,21 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "dsm/system.hpp"
+#include "elastic/controller.hpp"
 #include "load/generator.hpp"
 #include "net/topology.hpp"
 #include "shard/client.hpp"
-#include "shard/coalesce_controller.hpp"
 #include "shard/sharded_store.hpp"
 #include "stats/json.hpp"
 #include "stats/service_report.hpp"
 #include "simkern/scheduler.hpp"
+#include "telemetry/sampler.hpp"
 
 namespace optsync {
 namespace {
@@ -38,8 +40,16 @@ struct WorkloadParams {
   double rate_rps = 400'000;
   double read_fraction = 0.25;
   double txn_fraction = 0.05;
-  bool adaptive_coalesce = false;
+  /// Range fabric with hot groups and a telemetry Sampler armed; with
+  /// `elastic_controller` the ElasticController acts on it too. Both are
+  /// housekeeping loops that re-arm only while the simulation is busy.
+  bool elastic_fabric = false;
+  bool elastic_controller = false;
 };
+
+/// Event budget far past any workload here: a run that exhausts it has a
+/// housekeeping loop keeping the scheduler alive.
+constexpr std::uint64_t kEventBudget = 2'000'000;
 
 void serialize_histogram(stats::JsonWriter& w, std::string_view key,
                          const stats::Histogram& h) {
@@ -57,7 +67,9 @@ void serialize_histogram(stats::JsonWriter& w, std::string_view key,
 
 // Runs the workload to completion and serializes every observable a bench
 // would export. The returned string is the run's fingerprint.
-std::string run_fingerprint(std::uint64_t seed, const WorkloadParams& p) {
+// `actions`, when given, receives the elastic controller's action count.
+std::string run_fingerprint(std::uint64_t seed, const WorkloadParams& p,
+                            std::uint64_t* actions = nullptr) {
   sim::Scheduler sched;
   const auto topo = net::MeshTorus2D::near_square(p.nodes);
   dsm::DsmSystem sys(sched, topo, dsm::DsmConfig{});
@@ -67,6 +79,12 @@ std::string run_fingerprint(std::uint64_t seed, const WorkloadParams& p) {
 
   shard::ShardedStoreConfig scfg;
   scfg.shards = p.shards;
+  if (p.elastic_fabric) {
+    scfg.policy = shard::ShardMap::Policy::kRange;
+    scfg.key_space = 512;
+    scfg.elastic.enabled = true;
+    scfg.elastic.hot_groups = 2;
+  }
   shard::ShardedStore store(sys, scfg);
 
   load::GeneratorConfig gcfg;
@@ -76,14 +94,29 @@ std::string run_fingerprint(std::uint64_t seed, const WorkloadParams& p) {
   gcfg.keys.keys = 512;
   gcfg.read_fraction = p.read_fraction;
   gcfg.txn_fraction = p.txn_fraction;
+  // Full replication reserves the last node for directory moves.
+  if (p.elastic_fabric) gcfg.node_span = p.nodes - 1;
   load::Generator gen(gcfg);
 
   stats::ServiceReport report;
   shard::Client client(store);
   auto drive = gen.run(client, report);
-  shard::CoalesceController ctrl(store, report);
-  if (p.adaptive_coalesce) ctrl.start();
-  sched.run();
+  telemetry::Sampler sampler(telemetry::SamplerConfig{20'000, 1024});
+  std::optional<elastic::ElasticController> ctrl;
+  if (p.elastic_fabric) {
+    store.register_telemetry(sampler, report);
+    if (p.elastic_controller) {
+      ctrl.emplace(store, report, sampler.series());
+      ctrl->start();
+    }
+    sampler.start(sched);
+  }
+  // sched.run() with an event budget: if the housekeeping loops kept each
+  // other alive, run() would never return; here the budget runs out and
+  // the idle check fails instead of the test hanging.
+  std::uint64_t events = 0;
+  while (events < kEventBudget && sched.step()) ++events;
+  EXPECT_TRUE(sched.idle()) << "housekeeping kept the scheduler alive";
   store.fill_report(report);
   EXPECT_TRUE(gen.done());
   EXPECT_TRUE(report.serializable());
@@ -129,18 +162,25 @@ std::string run_fingerprint(std::uint64_t seed, const WorkloadParams& p) {
     w.end_object();
   }
   w.end_array();
-  if (p.adaptive_coalesce) {
-    w.begin_array("coalesce_caps");
+  if (p.elastic_fabric) {
+    w.value("sampler_ticks", sampler.ticks());
+    if (ctrl) {
+      w.value("controller_ticks", ctrl->ticks())
+          .value("actions", ctrl->actions());
+      if (actions != nullptr) *actions = ctrl->actions();
+    }
+    w.begin_array("elastic");
     for (std::uint32_t s = 0; s < store.shards(); ++s) {
       w.begin_object()
-          .value("cap", ctrl.cap(s))
-          .value("peak", ctrl.peak_cap(s))
-          .value("raises", ctrl.raises(s))
-          .value("lowers", ctrl.lowers(s))
+          .value("migrations", store.migrations(s))
+          .value("splits", store.splits(s))
+          .value("merges", store.merges(s))
+          .value("promotions", store.promotions(s))
+          .value("demotions", store.demotions(s))
+          .value("redirects", store.redirects(s))
           .end_object();
     }
     w.end_array();
-    w.value("ticks", ctrl.ticks());
   }
   // The applied-write stream of every replica of every shard: the strongest
   // fingerprint — any reordering anywhere in the protocol lands here.
@@ -188,16 +228,22 @@ TEST(Determinism, TxnHeavyWorkloadSameSeedIsByteIdentical) {
   }
 }
 
-TEST(Determinism, AdaptiveCoalescingControllerIsDeterministic) {
+TEST(Determinism, ElasticControllerAndSamplerAreDeterministic) {
   WorkloadParams p;
-  p.adaptive_coalesce = true;
-  const std::string a = run_fingerprint(42, p);
+  p.elastic_fabric = true;
+  p.elastic_controller = true;
+  // Zipf traffic well past one range shard's capacity, so the controller
+  // sees drowning shards and acts.
+  p.requests = 3000;
+  p.rate_rps = 4'000'000;
+  std::uint64_t actions = 0;
+  const std::string a = run_fingerprint(42, p, &actions);
   const std::string b = run_fingerprint(42, p);
-  EXPECT_EQ(a, b) << "the coalesce control loop diverged between two runs";
-  // And the controller must actually change behaviour vs. unbatched — the
-  // fingerprint includes messages, so a different universe, same laws.
+  EXPECT_EQ(a, b) << "the housekeeping loops diverged between two runs";
+  EXPECT_GT(actions, 0u) << "the elastic controller never acted";
+  // Same fabric and sampler without the controller: its actions must show.
   WorkloadParams q = p;
-  q.adaptive_coalesce = false;
+  q.elastic_controller = false;
   const std::string c = run_fingerprint(42, q);
   EXPECT_NE(a, c) << "controller ran but changed nothing";
 }

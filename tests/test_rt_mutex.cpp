@@ -7,6 +7,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <random>
 #include <thread>
 #include <vector>
@@ -225,6 +227,77 @@ TEST(RtOptimisticMutex, LocalSaveRestoreHooksRunOnRollback) {
             static_cast<int>(mux.stats_view().rollbacks));
   EXPECT_EQ(saves.load(),
             static_cast<int>(mux.stats_view().optimistic_attempts));
+}
+
+TEST(RtOptimisticMutex, ForeignGrantBeforeTheSavePointIsNeverASuccess) {
+  // Widens the window between the speculator's lock-word checks and its
+  // save point deterministically. The root grants node 0 the lock before
+  // node 1 requests it, so node 1 queues. Node 1's insharing is held back
+  // until its exchange and re-check have both seen the lock free; its
+  // save_locals hook, which runs inside the window, then lets the grant in
+  // and waits until node 0 is the visible holder. Node 0's body waits
+  // until node 1 has either run its body or given up the speculation, so
+  // a speculative write from node 1 reaches the root while node 0 still
+  // holds the lock and is filtered there. Node 1 must re-run under its
+  // own grant, or one increment is lost.
+  RtSystem sys(cfg(2));
+  const auto l = sys.define_lock("l");
+  const auto a = sys.define_mutex_data("a", l);
+  RtOptimisticMutex mux(sys, l, RtOptimisticMutex::Config{});
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool node1_done_speculating = false;
+  auto signal = [&] {
+    {
+      std::lock_guard lk(mu);
+      node1_done_speculating = true;
+    }
+    cv.notify_all();
+  };
+  auto increment = [&sys, a](NodeId me) {
+    sys.write(me, a, sys.read(me, a) + 1);
+  };
+
+  sys.suspend_insharing(1);
+  std::thread t0([&] {
+    RtOptimisticMutex::Section sec;
+    sec.shared_writes = {a};
+    sec.body = [&](NodeId me) {
+      std::unique_lock lk(mu);
+      cv.wait(lk, [&] { return node1_done_speculating; });
+      lk.unlock();
+      increment(me);
+    };
+    mux.execute(0, sec);
+  });
+  // The root has granted node 0 before node 1 requests.
+  sys.wait_until(0, l, [](Word v) { return dsm::lock_granted_to(v, 0); });
+
+  RtOptimisticMutex::Section sec;
+  sec.shared_writes = {a};
+  sec.save_locals = [&] {
+    sys.resume_insharing(1);
+    sys.wait_until(1, l, [](Word v) {
+      return dsm::lock_held(v) && dsm::lock_holder(v) == 0;
+    });
+  };
+  sec.restore_locals = signal;
+  sec.body = [&](NodeId me) {
+    increment(me);
+    signal();
+  };
+  const auto outcome = mux.execute(1, sec);
+  t0.join();
+  sys.quiesce();
+
+  EXPECT_TRUE(outcome.used_optimistic);
+  EXPECT_TRUE(outcome.rolled_back);
+  for (NodeId n = 0; n < 2; ++n) EXPECT_EQ(sys.read(n, a), 2) << "node " << n;
+  const auto ms = mux.stats_view();
+  EXPECT_EQ(ms.rollbacks, 1u);
+  EXPECT_EQ(ms.optimistic_successes + ms.rollbacks + ms.regular_paths,
+            ms.executions);
 }
 
 }  // namespace

@@ -130,5 +130,74 @@ TEST(Scheduler, ManyEventsProcessInOrder) {
   EXPECT_EQ(last, 1000u);
 }
 
+// --- housekeeping events ------------------------------------------------
+// Samplers and control loops arm through after_housekeeping() and re-arm
+// only while busy(): pending housekeeping must not count as real work, or
+// the loops keep each other alive and run() never returns.
+
+TEST(Scheduler, HousekeepingAloneIsNotBusy) {
+  Scheduler s;
+  EXPECT_FALSE(s.busy());
+  s.after_housekeeping(10, [] {});
+  EXPECT_FALSE(s.busy());
+  EXPECT_FALSE(s.idle());
+  EXPECT_EQ(s.pending(), 1u);
+  s.after(20, [] {});
+  EXPECT_TRUE(s.busy());
+  s.run_until(15);  // the housekeeping event fires; the real one remains
+  EXPECT_TRUE(s.busy());
+  s.run();
+  EXPECT_FALSE(s.busy());
+  EXPECT_TRUE(s.idle());
+}
+
+TEST(Scheduler, TwoReArmingHousekeepingLoopsLetRunDrain) {
+  Scheduler s;
+  for (Time t = 10; t <= 100; t += 10) s.at(t, [] {});
+  struct Loop {
+    Scheduler* s;
+    Duration interval;
+    int ticks = 0;
+    void arm() {
+      s->after_housekeeping(interval, [this] {
+        ++ticks;
+        // The tick cap only turns a broken busy() into a failure, not a hang.
+        if (s->busy() && ticks < 1000) arm();
+      });
+    }
+  };
+  Loop a{&s, 7};
+  Loop b{&s, 11};
+  a.arm();
+  b.arm();
+  s.run();  // returns: neither loop counts the other as work
+  EXPECT_TRUE(s.idle());
+  EXPECT_FALSE(s.busy());
+  // Each loop ticks through the real work and stops one interval past it.
+  EXPECT_EQ(a.ticks, 15);  // 7, 14, ..., 105
+  EXPECT_EQ(b.ticks, 10);  // 11, 22, ..., 110
+  EXPECT_EQ(s.now(), 110u);
+}
+
+TEST(Scheduler, CancelHousekeepingOnAFiredIdLeavesBusyCorrect) {
+  Scheduler s;
+  const EventId fired = s.after_housekeeping(5, [] {});
+  s.after(10, [] {});
+  s.run_until(6);
+  EXPECT_FALSE(s.cancel_housekeeping(fired));
+  EXPECT_TRUE(s.busy());
+  // One live housekeeping event: the stale cancel above must not have
+  // uncounted it, or it would now pass for real work.
+  const EventId live = s.after_housekeeping(20, [] {});
+  s.run_until(15);
+  EXPECT_FALSE(s.busy());
+  EXPECT_EQ(s.pending(), 1u);
+  EXPECT_FALSE(s.cancel_housekeeping(fired));
+  EXPECT_FALSE(s.busy());
+  EXPECT_TRUE(s.cancel_housekeeping(live));
+  EXPECT_TRUE(s.idle());
+  EXPECT_FALSE(s.busy());
+}
+
 }  // namespace
 }  // namespace optsync::sim

@@ -31,7 +31,6 @@
 #include "load/generator.hpp"
 #include "net/topology.hpp"
 #include "shard/client.hpp"
-#include "shard/coalesce_controller.hpp"
 #include "shard/sharded_store.hpp"
 #include "stats/metrics.hpp"
 #include "telemetry/overload.hpp"
@@ -94,8 +93,6 @@ void usage() {
          "  --txn-fraction F     P(multi-key txn) (default 0.05)\n"
          "  --rmw-fraction F     P(multi-key read-modify-write) (default 0)\n"
          "  --txn-keys N         keys per txn/rmw (default 3)\n"
-         "  --adaptive-coalesce  drive each shard's frame cap from its live"
-         " backlog\n"
          "  --txn-mode M         occ | legacy multi-key commit (default"
          " occ)\n"
          "  --server-nodes N     partial replication: groups span nodes"
@@ -137,7 +134,7 @@ int main(int argc, char** argv) try {
               "zipf-s", "keys", "read-fraction", "txn-fraction",
               "rmw-fraction", "txn-keys", "txn-mode",
               "server-nodes", "lease", "lease-ttl-ns", "consistency",
-              "adaptive-coalesce", "elastic", "hot-groups", "migrate-shard",
+              "elastic", "hot-groups", "migrate-shard",
               "fault-drop", "fault-seed", "partition", "help"});
 
   const auto nodes = static_cast<std::uint32_t>(flags.get_int("nodes", 16));
@@ -293,14 +290,6 @@ int main(int argc, char** argv) try {
   gen.register_telemetry(sampler);
   shard::Client client(store);
   auto drive = gen.run(client, report);
-  // --adaptive-coalesce: the per-shard controller tunes each root's frame
-  // cap from its live backlog (and exports optsync_coalesce_cap gauges).
-  shard::CoalesceController coalesce_ctrl(store, report);
-  const bool adaptive_coalesce = flags.get_bool("adaptive-coalesce", false);
-  if (adaptive_coalesce) {
-    coalesce_ctrl.start();
-    coalesce_ctrl.register_telemetry(sampler);
-  }
   std::optional<elastic::ElasticController> ctrl;
   if (elastic) {
     ctrl.emplace(store, report, sampler.series());
@@ -495,15 +484,6 @@ int main(int argc, char** argv) try {
           .set("promotions", static_cast<double>(store.promotions(s)))
           .set("demotions", static_cast<double>(store.demotions(s)))
           .set("redirects", static_cast<double>(store.redirects(s)));
-    }
-  }
-  if (adaptive_coalesce) {
-    for (std::uint32_t s = 0; s < store.shards(); ++s) {
-      metrics.row("coalesce,shard=" + std::to_string(s))
-          .set("cap", static_cast<double>(coalesce_ctrl.cap(s)))
-          .set("peak_cap", static_cast<double>(coalesce_ctrl.peak_cap(s)))
-          .set("raises", static_cast<double>(coalesce_ctrl.raises(s)))
-          .set("lowers", static_cast<double>(coalesce_ctrl.lowers(s)));
     }
   }
   for (const auto& s : report.shards) {
