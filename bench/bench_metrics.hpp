@@ -18,15 +18,12 @@
 //
 // /3 adds the lease-tier counters: benches and the service CLI running
 // partial replication emit "lease,shard=N" rows (hits, grants,
-// invalidations, remote_reads, forwarded_ops, hit_rate) and
-// service_scaling adds the "lease_read_heavy" / "lease_fault_soak"
-// comparison rows.
+// invalidations, remote_reads, forwarded_ops, hit_rate).
 //
 // /4 adds the elastic-fabric counters: dsm_service --elastic emits an
 // "elastic" rollup row (control_actions, dir_epoch, client_redirects,
 // handoff_replayed) plus per-shard "elastic,shard=N" rows (migrations,
-// splits, merges, promotions, demotions, redirects), and service_scaling
-// adds the "hotspot_shift" static-vs-elastic comparison row.
+// splits, merges, promotions, demotions, redirects).
 //
 // /5 adds the decision-forensics fields: "shard=N" rows gain the
 // abort-reason partition (aborts_read_clobber, aborts_validation,

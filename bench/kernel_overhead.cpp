@@ -68,8 +68,9 @@ struct ServiceRun {
   bool serializable = false;
 };
 
-// One sharded-service run (the service_scaling workload shape) with the
-// kernel counters sampled around it.
+// One sharded-service run (the request mix of the sixteen-node service
+// runs in tests/test_service_soak.cpp: 1024 keys, 25% reads, 5% txns) with
+// the kernel counters sampled around it.
 ServiceRun run_service(bench::Harness& harness, std::uint32_t nodes,
                        std::uint32_t shards, double per_shard_rate,
                        std::uint64_t requests_per_shard, std::uint64_t seed) {

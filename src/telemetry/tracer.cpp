@@ -109,6 +109,28 @@ std::string_view Tracer::op_of(TraceId trace) const {
   return it == op_index_.end() ? std::string_view{} : ops_[it->second].op;
 }
 
+double Analysis::p99_path_named_fraction() const {
+  std::vector<sim::Duration> latencies;
+  latencies.reserve(ops.size());
+  for (const OpBreakdown& op : ops) latencies.push_back(op.total());
+  std::sort(latencies.begin(), latencies.end());
+  const sim::Duration cut =
+      latencies.empty()
+          ? 0
+          : latencies[latencies.size() - 1 -
+                      std::min(latencies.size() - 1, latencies.size() / 100)];
+  sim::Duration tail = 0;
+  sim::Duration other = 0;
+  for (const OpBreakdown& op : ops) {
+    if (op.total() < cut) continue;
+    tail += op.total();
+    other += op.path_buckets[static_cast<std::size_t>(Bucket::kOther)];
+  }
+  return tail == 0 ? 1.0
+                   : static_cast<double>(tail - other) /
+                         static_cast<double>(tail);
+}
+
 Analysis Tracer::analyze() const {
   Analysis out;
   out.open_spans = open_.size();

@@ -107,13 +107,19 @@ struct Analysis {
            static_cast<double>(total_latency);
   }
   /// Fraction of total latency the critical-path walk lands in a named
-  /// bucket (the dsm_inspect ">= 95% of p99 attributed" gate reads this).
+  /// bucket, over every op.
   [[nodiscard]] double path_named_fraction() const {
     if (total_latency == 0) return 1.0;
     const auto other = path_totals[static_cast<std::size_t>(Bucket::kOther)];
     return static_cast<double>(total_latency - other) /
            static_cast<double>(total_latency);
   }
+  /// The same fraction over the p99 tail only: the slowest 1% of ops by
+  /// request latency (every op at or above the cut). A good overall
+  /// fraction can hide a tail whose slow ops are unexplained; the p99 cut
+  /// cannot. The dsm_inspect --min-p99-named gate reads this (1.0 when no
+  /// latency was measured).
+  [[nodiscard]] double p99_path_named_fraction() const;
 };
 
 class Tracer {

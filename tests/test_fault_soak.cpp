@@ -15,13 +15,14 @@
 #include "dsm/system.hpp"
 #include "faults/fault_plan.hpp"
 #include "simkern/random.hpp"
-#include "trace/gwc_checker.hpp"
-#include "trace/recorder.hpp"
+#include "soak_support.hpp"
 #include "workloads/counter.hpp"
 #include "workloads/scenario_fig7.hpp"
 
 namespace optsync {
 namespace {
+
+using soak::GwcAudit;
 
 /// The standard attack: 10% loss on lock and data traffic (request, grant,
 /// and update messages all travel under these tags), 5% duplication and 10%
@@ -34,14 +35,6 @@ faults::FaultPlan standard_attack(std::uint64_t seed) {
       .delay(0.10, 3'000);
   return plan;
 }
-
-/// Recorder + checker pair for one soak run. A tiny ring suffices: the
-/// checker is a streaming sink and sees every event before eviction.
-struct GwcAudit {
-  trace::Recorder recorder{1 << 10};
-  trace::GwcChecker checker;
-  GwcAudit() { checker.install(recorder); }
-};
 
 class GwcFaultSoak : public ::testing::TestWithParam<std::uint64_t> {};
 

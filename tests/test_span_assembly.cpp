@@ -8,6 +8,7 @@
 // fault schedules disjoint from the other soak suites.
 #include <gtest/gtest.h>
 
+#include <iostream>
 #include <unordered_map>
 
 #include "dsm/system.hpp"
@@ -15,6 +16,7 @@
 #include "load/generator.hpp"
 #include "shard/client.hpp"
 #include "shard/sharded_store.hpp"
+#include "soak_support.hpp"
 #include "telemetry/overload.hpp"
 #include "telemetry/sampler.hpp"
 #include "telemetry/tracer.hpp"
@@ -22,28 +24,20 @@
 namespace optsync {
 namespace {
 
-/// Same attack shape as the service soak (drops on both traffic classes,
-/// duplication, a healed link partition), over this suite's seed range.
-faults::FaultPlan span_attack(std::uint64_t seed) {
-  faults::FaultPlan plan(seed);
-  plan.drop(0.08, "lock").drop(0.08, "data").duplicate(0.04);
-  const auto a = static_cast<net::NodeId>(seed % 8);
-  const auto b = static_cast<net::NodeId>((seed / 8 + 1 + a) % 8);
-  if (a != b) plan.partition_link(a, b, 20'000, 220'000);
-  return plan;
-}
-
 struct TracedRun {
   telemetry::Tracer tracer;
   stats::ServiceReport report;
   std::uint64_t requests = 0;
+  bool converged = false;
 };
 
 void run_traced_service(TracedRun& run, std::uint64_t seed,
                         const faults::FaultPlan* faults, bool zipfian,
-                        std::uint64_t requests, double rate_rps) {
+                        std::uint64_t requests, double rate_rps,
+                        std::uint32_t nodes = 8, double read_fraction = 0.50,
+                        double txn_fraction = 0.10) {
   sim::Scheduler sched;
-  const net::MeshTorus2D topo = net::MeshTorus2D::near_square(8);
+  const net::MeshTorus2D topo = net::MeshTorus2D::near_square(nodes);
   dsm::DsmConfig cfg;
   if (faults != nullptr) cfg.faults = *faults;
   cfg.tracer = &run.tracer;
@@ -57,7 +51,8 @@ void run_traced_service(TracedRun& run, std::uint64_t seed,
   gcfg.seed = seed;
   gcfg.requests = requests;
   gcfg.rate_rps = rate_rps;
-  gcfg.txn_fraction = 0.10;
+  gcfg.read_fraction = read_fraction;
+  gcfg.txn_fraction = txn_fraction;
   if (zipfian) {
     gcfg.keys.dist = load::KeyDist::kZipfian;
     gcfg.keys.keys = 1024;
@@ -70,6 +65,7 @@ void run_traced_service(TracedRun& run, std::uint64_t seed,
   sched.run();
   drive.rethrow_if_failed();
   store.fill_report(run.report);
+  run.converged = store.replicas_converged();
   ASSERT_TRUE(gen.done());
 }
 
@@ -111,12 +107,32 @@ TEST(SpanAssembly, CleanZipfianRunYieldsCompleteTrees) {
   expect_complete_assembly(run, 41, 0.95);
 }
 
+// Skewed traffic on sixteen nodes (seed 42 ^ 0xa77b0; 4 shards, 50k req/s
+// per shard, 25% reads, 5% txns): hot keys pile onto a few shards, so the
+// queue-wait and coalesce legs actually show up. Beyond complete trees, the
+// critical path must name >= 95% of the p99 tail's latency.
+TEST(SpanAssembly, SkewedServiceRunExplainsItsP99Tail) {
+  TracedRun run;
+  run_traced_service(run, /*seed=*/42 ^ 0xa77b0ull, /*faults=*/nullptr,
+                     /*zipfian=*/true, /*requests=*/1600,
+                     /*rate_rps=*/200'000.0, /*nodes=*/16,
+                     /*read_fraction=*/0.25, /*txn_fraction=*/0.05);
+  EXPECT_TRUE(run.report.serializable());
+  EXPECT_TRUE(run.converged);
+  expect_complete_assembly(run, 42, 0.95);
+  const telemetry::Analysis an = run.tracer.analyze();
+  std::cout << "named buckets cover " << 100.0 * an.named_fraction()
+            << "% of measured latency; critical path names "
+            << 100.0 * an.p99_path_named_fraction() << "% of the p99 tail\n";
+  EXPECT_GE(an.p99_path_named_fraction(), 0.95);
+}
+
 class SpanAssemblyFaultSoak : public ::testing::TestWithParam<std::uint64_t> {
 };
 
 TEST_P(SpanAssemblyFaultSoak, TreesSurviveDropAndPartition) {
   const std::uint64_t seed = GetParam();
-  const faults::FaultPlan plan = span_attack(seed);
+  const faults::FaultPlan plan = soak::drop_partition_attack(seed);
   TracedRun run;
   run_traced_service(run, seed, &plan, /*zipfian=*/false, /*requests=*/220,
                      /*rate_rps=*/60'000.0);

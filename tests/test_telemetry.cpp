@@ -508,6 +508,26 @@ TEST(Tracer, EmptyAnalysisAttributesNothingWrongly) {
   EXPECT_EQ(an.total_latency, 0);
   EXPECT_EQ(an.named_fraction(), 1.0);
   EXPECT_EQ(an.path_named_fraction(), 1.0);
+  EXPECT_EQ(an.p99_path_named_fraction(), 1.0);
+}
+
+TEST(Tracer, P99CutSeesAnUnexplainedTail) {
+  // 200 ops with latencies 1..200 ns; only the three slowest (the p99 cut
+  // at index 200 - 1 - 200/100 and above) are unexplained. Overall the
+  // path still names ~97% of latency; the tail names none of it.
+  Analysis an;
+  for (sim::Duration t = 1; t <= 200; ++t) {
+    OpBreakdown op;
+    op.end = t;
+    const sim::Duration other = t >= 198 ? t : 0;
+    op.path_buckets[static_cast<std::size_t>(Bucket::kOther)] = other;
+    op.path_buckets[static_cast<std::size_t>(Bucket::kWire)] = t - other;
+    an.path_totals[static_cast<std::size_t>(Bucket::kOther)] += other;
+    an.total_latency += t;
+    an.ops.push_back(op);
+  }
+  EXPECT_NEAR(an.path_named_fraction(), 1.0 - 597.0 / 20100.0, 1e-12);
+  EXPECT_EQ(an.p99_path_named_fraction(), 0.0);
 }
 
 TEST(Tracer, OrphanParentIsDetected) {

@@ -19,48 +19,28 @@
 // Seeds 1300+ keep these fault schedules disjoint from the other soaks.
 #include <gtest/gtest.h>
 
-#include "dsm/system.hpp"
-#include "faults/fault_plan.hpp"
-#include "load/generator.hpp"
-#include "shard/client.hpp"
-#include "shard/sharded_store.hpp"
-#include "trace/gwc_checker.hpp"
-#include "trace/recorder.hpp"
+#include <iostream>
+#include <iterator>
+#include <string>
+
+#include "soak_support.hpp"
 
 namespace optsync {
 namespace {
 
-faults::FaultPlan txn_attack(std::uint64_t seed) {
-  faults::FaultPlan plan(seed);
-  plan.drop(0.08, "lock").drop(0.08, "data").duplicate(0.04);
-  const auto a = static_cast<net::NodeId>(seed % 8);
-  const auto b = static_cast<net::NodeId>((seed / 8 + 1 + a) % 8);
-  if (a != b) plan.partition_link(a, b, 20'000, 220'000);
-  return plan;
-}
-
-struct GwcAudit {
-  trace::Recorder recorder{1 << 10};
-  trace::GwcChecker checker;
-  GwcAudit() { checker.install(recorder); }
-};
+using soak::GwcAudit;
+using soak::ServiceRun;
 
 class TxnFaultSoak : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(TxnFaultSoak, OccStaysSerializableUnderDropAndPartition) {
   const std::uint64_t seed = GetParam();
-  sim::Scheduler sched;
-  const net::MeshTorus2D topo = net::MeshTorus2D::near_square(8);
   GwcAudit audit;
   dsm::DsmConfig cfg;
-  cfg.faults = txn_attack(seed);
+  cfg.faults = soak::drop_partition_attack(seed);
   cfg.recorder = &audit.recorder;
-  dsm::DsmSystem sys(sched, topo, cfg);
-  ASSERT_TRUE(sys.reliable_transport());
-
-  shard::ShardedStoreConfig scfg;
-  scfg.shards = 4;
-  shard::ShardedStore store(sys, scfg);
+  ServiceRun run(8, cfg, soak::store_with_shards(4));
+  ASSERT_TRUE(run.sys.reliable_transport());
 
   // A transaction-heavy, zipf-skewed mix: most requests are multi-key,
   // and the hot keys force speculation windows to overlap.
@@ -74,24 +54,18 @@ TEST_P(TxnFaultSoak, OccStaysSerializableUnderDropAndPartition) {
   gcfg.keys.dist = load::KeyDist::kZipfian;
   gcfg.keys.keys = 24;
   gcfg.keys.zipf_s = 1.0;
-  load::Generator gen(gcfg);
-  stats::ServiceReport report;
-  shard::Client client(store);
-  auto drive = gen.run(client, report);
-  sched.run();
-  drive.rethrow_if_failed();
-  store.fill_report(report);
+  run.drive(gcfg);
 
-  ASSERT_TRUE(gen.done());
+  const stats::ServiceReport& report = run.report;
   EXPECT_EQ(report.completed(), gcfg.requests);
   // Serializability ledger, per shard: version word == committed writes
   // (transactions bump once per involved shard, aborts bump nothing).
-  for (shard::ShardId s = 0; s < scfg.shards; ++s) {
-    EXPECT_EQ(store.version(s),
-              static_cast<dsm::Word>(store.committed_writes(s)))
+  for (shard::ShardId s = 0; s < run.store.shards(); ++s) {
+    EXPECT_EQ(run.store.version(s),
+              static_cast<dsm::Word>(run.store.committed_writes(s)))
         << "shard " << s << " seed " << seed;
   }
-  EXPECT_TRUE(store.replicas_converged()) << "seed " << seed;
+  EXPECT_TRUE(run.store.replicas_converged()) << "seed " << seed;
   EXPECT_TRUE(audit.checker.ok()) << audit.checker.report();
   EXPECT_GT(audit.checker.writes_checked(), 0u);
   EXPECT_GT(report.faults.drops_injected, 0u) << "seed " << seed;
@@ -109,7 +83,7 @@ TEST(TxnFaultSoak, ContendedMixProducesRepairsAndLosesNoIncrements) {
   const net::MeshTorus2D topo = net::MeshTorus2D::near_square(8);
   GwcAudit audit;
   dsm::DsmConfig cfg;
-  cfg.faults = txn_attack(1299);
+  cfg.faults = soak::drop_partition_attack(1299);
   cfg.recorder = &audit.recorder;
   dsm::DsmSystem sys(sched, topo, cfg);
 
@@ -157,6 +131,139 @@ TEST(TxnFaultSoak, ContendedMixProducesRepairsAndLosesNoIncrements) {
 
 INSTANTIATE_TEST_SUITE_P(DropPartitionSeeds, TxnFaultSoak,
                          ::testing::Range<std::uint64_t>(1300, 1322));
+
+// --- OCC vs the pessimistic MultiGroupMutex baseline ----------------------
+// Both protocols take the involved stripe locks in the same canonical
+// order; the difference is WHEN. The legacy path holds every lock across
+// the whole per-key compute, the OCC path speculates outside the locks and
+// holds them only for validate + publish (repairing covered conflicts under
+// them). Each (shard count, mix) point replays one open-loop schedule —
+// same seed, same plan bytes — under both commit modes on sixteen nodes.
+
+struct Mix {
+  const char* name;
+  double read_fraction;
+  double txn_fraction;
+  double rmw_fraction;
+  load::KeyDist dist;
+};
+
+// Both mixes are transaction-heavy. The uniform mix is the regime optimism
+// exists for — conflicts occasional, compute dominant. The contended mix
+// adds Zipfian skew so hot stripes force real conflict traffic.
+constexpr Mix kMixes[] = {
+    {"uniform", 0.40, 0.25, 0.25, load::KeyDist::kUniform},
+    {"contended", 0.10, 0.35, 0.35, load::KeyDist::kZipfian},
+};
+
+/// Completed multi-key (txn + rmw) operations per second.
+double multikey_goodput_rps(const stats::ServiceReport& report) {
+  if (report.elapsed_ns == 0) return 0.0;
+  std::uint64_t done = 0;
+  for (const auto& s : report.shards) {
+    done += s.op(stats::ServiceOp::kTxn).completed +
+            s.op(stats::ServiceOp::kRmw).completed;
+  }
+  return 1e9 * static_cast<double>(done) /
+         static_cast<double>(report.elapsed_ns);
+}
+
+/// Compute-heavy transactions over a wide slot space: per-key compute
+/// dominates the lock round trips (so WHERE the compute runs decides
+/// throughput), and stripe == slot conflict detection has enough stripes
+/// that uniform traffic conflicts occasionally rather than constantly.
+shard::ShardedStoreConfig txn_store(std::uint32_t shards,
+                                    shard::TxnMode mode) {
+  shard::ShardedStoreConfig scfg;
+  scfg.shards = shards;
+  scfg.txn.mode = mode;
+  scfg.write_compute_ns = 10'000;
+  scfg.slots_per_shard = 64;
+  return scfg;
+}
+
+/// `mix` at 200k req/s per shard — above both modes' capacity at every
+/// shard count, so elapsed time is decided by commit throughput and
+/// goodput compares capacity. Seeded 42 ^ a per-point constant, so both
+/// modes replay the same plan bytes.
+load::GeneratorConfig txn_plan(std::uint32_t shards, std::size_t mix,
+                               std::uint64_t requests_per_shard) {
+  load::GeneratorConfig gcfg;
+  gcfg.seed = 42 ^ (0x9e3779b97f4a7c15ull * (shards * 64 + mix * 8 + 1));
+  gcfg.requests = requests_per_shard * shards;
+  gcfg.rate_rps = 200'000.0 * shards;
+  gcfg.read_fraction = kMixes[mix].read_fraction;
+  gcfg.txn_fraction = kMixes[mix].txn_fraction;
+  gcfg.rmw_fraction = kMixes[mix].rmw_fraction;
+  gcfg.keys.dist = kMixes[mix].dist;
+  gcfg.keys.keys = 64 * shards;  // spread the key set across every shard
+  gcfg.keys.zipf_s = 1.0;
+  return gcfg;
+}
+
+// OCC multi-key goodput must strictly beat the baseline at every shard
+// count >= 4 on both mixes; every run is serializable and convergent.
+TEST(OccVsLegacy, OccBeatsTheBaselineFromFourShards) {
+  for (std::size_t mix = 0; mix < std::size(kMixes); ++mix) {
+    for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
+      const auto goodput = [&](shard::TxnMode mode) {
+        ServiceRun run(16, {}, txn_store(shards, mode));
+        run.drive(txn_plan(shards, mix, 300));
+        EXPECT_TRUE(run.report.serializable())
+            << kMixes[mix].name << " " << shards << " shards "
+            << shard::txn_mode_name(mode);
+        EXPECT_TRUE(run.store.replicas_converged())
+            << kMixes[mix].name << " " << shards << " shards "
+            << shard::txn_mode_name(mode);
+        return multikey_goodput_rps(run.report);
+      };
+      const double occ = goodput(shard::TxnMode::kOcc);
+      const double legacy = goodput(shard::TxnMode::kLegacy);
+      std::cout << kMixes[mix].name << ", " << shards
+                << " shard(s): multi-key goodput OCC "
+                << static_cast<std::uint64_t>(occ) << " vs legacy "
+                << static_cast<std::uint64_t>(legacy) << " req/s\n";
+      if (shards >= 4) {
+        EXPECT_GT(occ, legacy) << kMixes[mix].name << " mix, " << shards
+                               << " shards";
+      }
+    }
+  }
+}
+
+// The same grid over a lossy fiber (fault seed 7; shards 1 and 8, 150
+// req/shard) checks correctness, not capacity: a lossy fiber stretches the
+// OCC exposure window. GWC order is audited on every run, and OCC must
+// still commit.
+TEST(OccVsLegacy, BothModesStayCorrectOverALossyFiber) {
+  for (std::size_t mix = 0; mix < std::size(kMixes); ++mix) {
+    for (const std::uint32_t shards : {1u, 8u}) {
+      for (const shard::TxnMode mode :
+           {shard::TxnMode::kOcc, shard::TxnMode::kLegacy}) {
+        GwcAudit audit;
+        dsm::DsmConfig cfg;
+        cfg.faults = soak::drop_partition_attack(7);
+        cfg.recorder = &audit.recorder;
+        ServiceRun run(16, cfg, txn_store(shards, mode));
+        run.drive(txn_plan(shards, mix, 150));
+        const std::string where = std::string(kMixes[mix].name) + " " +
+                                  std::to_string(shards) + " shards " +
+                                  std::string(shard::txn_mode_name(mode));
+        EXPECT_TRUE(run.report.serializable()) << where;
+        EXPECT_TRUE(run.store.replicas_converged()) << where;
+        EXPECT_TRUE(audit.checker.ok()) << where << ": "
+                                        << audit.checker.report();
+        std::uint64_t commits = 0;
+        for (const auto& s : run.report.shards) commits += s.txn_commits;
+        if (mode == shard::TxnMode::kOcc) {
+          EXPECT_GT(commits, 0u) << where;
+        }
+        std::cout << where << ": " << audit.checker.writes_checked()
+                  << " GWC-checked writes, " << commits << " OCC commits\n";
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace optsync

@@ -17,7 +17,9 @@
 // attribution or stale-stripe count, an elastic decision without its
 // triggering inputs), abort-partition mismatches (--check-abort-sums), or
 // a p99 critical-path named fraction below --min-p99-named — so the CI
-// forensics job is just this binary over the artifacts.
+// forensics job is just this binary over the artifacts. Exit 2 is a usage
+// error: a bad flag, a gate without the --metrics document it reads, or a
+// --min-p99-named threshold outside [0, 1].
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
@@ -382,9 +384,7 @@ bool inspect_metrics(const JsonValue& doc, bool check_sums,
       std::cout << "  " << bucket << ": " << pct(share) << "\n";
     }
     if (min_p99_named > 0.0) {
-      const double got = a.contains("p99_path_named_fraction")
-                             ? a["p99_path_named_fraction"].as_double()
-                             : a["path_named_fraction"].as_double(-1.0);
+      const double got = a["p99_path_named_fraction"].as_double(-1.0);
       if (got < min_p99_named) {
         std::cerr << "P99 ATTRIBUTION GATE FAILED: " << pct(got)
                   << " of the p99 tail named (need >= "
@@ -409,7 +409,8 @@ void usage() {
          "  --check-abort-sums   require the abort-reason partition to sum\n"
          "                       to txn_aborts on every shard row\n"
          "  --min-p99-named F    require the critical path to name >= F of\n"
-         "                       the p99 tail's latency (0 disables)\n"
+         "                       the p99 tail's latency (F in [0, 1]; 0\n"
+         "                       disables); both gates need --metrics\n"
          "prints abort forensics, hot-stripe tables, the elastic decision\n"
          "timeline, lease churn, and the critical-path report; exits\n"
          "nonzero on parse/schema/sum/threshold violations\n";
@@ -431,6 +432,19 @@ int main(int argc, char** argv) try {
     usage();
     return 2;
   }
+  // A gate that never runs must not print "clean": both gates read the
+  // metrics document, so asking for one without it is a usage error.
+  if (metrics_path.empty() &&
+      (flags.has("check-abort-sums") || flags.has("min-p99-named"))) {
+    std::cerr << "error: --check-abort-sums and --min-p99-named gate the"
+              << " --metrics document; pass --metrics\n";
+    return 2;
+  }
+  const double min_p99_named = flags.get_double("min-p99-named", 0.0);
+  if (!(min_p99_named >= 0.0 && min_p99_named <= 1.0)) {
+    std::cerr << "error: --min-p99-named must be a fraction in [0, 1]\n";
+    return 2;
+  }
   bool ok = true;
   if (!journal_path.empty()) {
     const auto parsed = stats::parse_json_file(journal_path);
@@ -449,7 +463,7 @@ int main(int argc, char** argv) try {
       return 1;
     }
     if (!inspect_metrics(parsed.value, flags.get_bool("check-abort-sums", false),
-                         flags.get_double("min-p99-named", 0.0))) {
+                         min_p99_named)) {
       ok = false;
     }
   }

@@ -352,8 +352,10 @@ int main(int argc, char** argv) try {
     }
     char frac[128];
     std::snprintf(frac, sizeof frac,
-                  "  critical path names %.2f%% of traced latency\n",
-                  100.0 * analysis.path_named_fraction());
+                  "  critical path names %.2f%% of traced latency, %.2f%% of"
+                  " the p99 tail\n",
+                  100.0 * analysis.path_named_fraction(),
+                  100.0 * analysis.p99_path_named_fraction());
     std::cout << frac;
   }
   if (harness.journaling()) {
@@ -451,7 +453,9 @@ int main(int argc, char** argv) try {
                          static_cast<double>(analysis.ops.size()))
                     .set("named_fraction", analysis.named_fraction())
                     .set("path_named_fraction",
-                         analysis.path_named_fraction());
+                         analysis.path_named_fraction())
+                    .set("p99_path_named_fraction",
+                         analysis.p99_path_named_fraction());
     for (std::size_t b = 0; b < telemetry::kBucketCount; ++b) {
       row.set("path_" +
                   std::string(telemetry::bucket_name(
