@@ -30,9 +30,7 @@ sim::Process Client::read(dsm::NodeId n, Key key,
   co_await store_->read_op(n, key, out, opts.level).join();
 }
 
-sim::Process Client::write(dsm::NodeId n, Key key, dsm::Word value,
-                           WriteOptions opts) {
-  (void)opts;
+sim::Process Client::write(dsm::NodeId n, Key key, dsm::Word value) {
   if (store_->elastic()) co_await sync_route(n, std::vector<Key>(1, key)).join();
   co_await store_->write_op(n, key, value).join();
 }
@@ -43,25 +41,16 @@ sim::Process Client::txn(dsm::NodeId n, TxnRequest req, TxnResult* result,
                       (!req.adds.empty() ? 1 : 0) +
                       (!req.reads.empty() ? 1 : 0);
   OPTSYNC_EXPECT(classes == 1);
+  const bool add = !req.adds.empty();
+  std::vector<std::pair<Key, dsm::Word>> kvs = std::move(req.puts);
+  for (const Key key : req.adds) kvs.emplace_back(key, req.delta);
   if (store_->elastic()) {
-    std::vector<Key> keys;
-    if (!req.puts.empty()) {
-      keys.reserve(req.puts.size());
-      for (const auto& [key, value] : req.puts) {
-        (void)value;
-        keys.push_back(key);
-      }
-    } else {
-      keys = !req.adds.empty() ? req.adds : req.reads;
-    }
+    std::vector<Key> keys = req.reads;
+    for (const auto& kv : kvs) keys.push_back(kv.first);
     co_await sync_route(n, std::move(keys)).join();
   }
-  if (!req.puts.empty()) {
-    co_await store_->multi_put_op(n, std::move(req.puts)).join();
-    co_return;
-  }
-  if (!req.adds.empty()) {
-    co_await store_->multi_rmw_op(n, std::move(req.adds), req.delta).join();
+  if (!kvs.empty()) {
+    co_await store_->multi_write_op(n, std::move(kvs), add).join();
     co_return;
   }
   OPTSYNC_EXPECT(result != nullptr);

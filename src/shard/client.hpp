@@ -1,15 +1,13 @@
 // shard::Client: the consistency-aware operation facade over ShardedStore.
 //
-// The store's historical surface grew one method per operation shape
-// (get/put/multi_put/multi_rmw/multi_get), with consistency implied by the
-// method rather than requested by the caller. Client collapses that into
-// three verbs —
+// Every operation is one of three verbs, with the read-side consistency an
+// explicit, per-call choice rather than implied by the method —
 //
 //   read(node, key, &out, {ConsistencyLevel})
 //   write(node, key, value)
 //   txn(node, TxnRequest{puts | adds+delta | reads}, &result)
 //
-// — with the read-side consistency an explicit, per-call choice:
+// The levels:
 //
 //   kLinearizable  the root's current value; clients pay a round trip.
 //   kLeased        serve from a warm local lease, zero messages; bounded
@@ -50,11 +48,6 @@ struct ReadOptions {
   ConsistencyLevel level = ConsistencyLevel::kLinearizable;
 };
 
-/// Write-side knobs. Empty today — writes always commit through the owning
-/// shard's lock protocol — kept so call sites name their intent and future
-/// knobs (durability class, async ack) land without a signature change.
-struct WriteOptions {};
-
 /// One multi-key transaction. Exactly one operation class may be
 /// populated:
 ///   * puts  — atomic multi-key write;
@@ -62,6 +55,8 @@ struct WriteOptions {};
 ///             keys start at 0; the YCSB-F idiom);
 ///   * reads — consistent multi-key snapshot (values land in
 ///             TxnResult::values, aligned with `reads`).
+/// Puts and adds run the store's one multi-key write path: each add is the
+/// pair (key, delta) written with `add` set.
 struct TxnRequest {
   std::vector<std::pair<Key, dsm::Word>> puts;
   std::vector<Key> adds;
@@ -96,8 +91,7 @@ class Client {
                     ReadOptions opts = {});
 
   /// Single-key write under the owning shard's lock protocol.
-  sim::Process write(dsm::NodeId n, Key key, dsm::Word value,
-                     WriteOptions opts = {});
+  sim::Process write(dsm::NodeId n, Key key, dsm::Word value);
 
   /// Multi-key transaction. `result` may be null unless `req.reads` is the
   /// populated class. `opts.level` applies to the reads class only.

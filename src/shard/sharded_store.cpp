@@ -227,8 +227,8 @@ sim::Process ShardedStore::write_op(dsm::NodeId n, Key key, dsm::Word value) {
                     });
 }
 
-sim::Process ShardedStore::multi_put_op(
-    dsm::NodeId n, std::vector<std::pair<Key, dsm::Word>> kvs) {
+sim::Process ShardedStore::multi_write_op(
+    dsm::NodeId n, std::vector<std::pair<Key, dsm::Word>> kvs, bool add) {
   OPTSYNC_EXPECT(!kvs.empty());
   if (access_observer_) {
     for (const auto& [key, value] : kvs) {
@@ -236,31 +236,14 @@ sim::Process ShardedStore::multi_put_op(
       access_observer_(map_.shard_of(key), key);
     }
   }
-  if (!partial()) return multi_put_direct(n, std::move(kvs));
+  if (!partial()) return multi_write(n, std::move(kvs), add);
   const ShardId primary = involved_shards(keys_of(kvs)).front();
   const dsm::NodeId server = shards_[primary]->root;
   const auto req = static_cast<std::uint32_t>(
       cfg_.lease.ctrl_bytes + cfg_.lease.data_bytes * kvs.size());
   return forward_op(n, primary, req, cfg_.lease.ctrl_bytes,
-                    [this, server, kvs = std::move(kvs)]() mutable {
-                      return multi_put_direct(server, std::move(kvs));
-                    });
-}
-
-sim::Process ShardedStore::multi_rmw_op(dsm::NodeId n, std::vector<Key> keys,
-                                        dsm::Word delta) {
-  OPTSYNC_EXPECT(!keys.empty());
-  if (access_observer_) {
-    for (const Key key : keys) access_observer_(map_.shard_of(key), key);
-  }
-  if (!partial()) return multi_rmw_direct(n, std::move(keys), delta);
-  const ShardId primary = involved_shards(keys).front();
-  const dsm::NodeId server = shards_[primary]->root;
-  const auto req = static_cast<std::uint32_t>(
-      cfg_.lease.ctrl_bytes + cfg_.lease.data_bytes * keys.size());
-  return forward_op(n, primary, req, cfg_.lease.ctrl_bytes,
-                    [this, server, delta, keys = std::move(keys)]() mutable {
-                      return multi_rmw_direct(server, std::move(keys), delta);
+                    [this, server, add, kvs = std::move(kvs)]() mutable {
+                      return multi_write(server, std::move(kvs), add);
                     });
 }
 
@@ -491,110 +474,25 @@ void ShardedStore::record_txn_flight(sim::Time started, sim::Time acquired) {
   txn_stats_.hold_ns.record(static_cast<std::int64_t>(now - acquired));
 }
 
-sim::Process ShardedStore::multi_put_direct(
-    dsm::NodeId n, std::vector<std::pair<Key, dsm::Word>> kvs) {
-  if (cfg_.txn.mode == TxnMode::kOcc) {
-    std::vector<ShardId> ids = involved_shards(keys_of(kvs));
-    return multi_put_occ(n, std::move(kvs), std::move(ids));
+void ShardedStore::write_step(txn::Txn& t, Shard& sh, std::uint32_t slot,
+                              Key key, dsm::Word value, bool add) {
+  // Only an add reads the slot. Both its reads are covered by this
+  // stripe's write lock at commit, so the add is strictly serializable.
+  dsm::Word next = value;
+  if (add && txn_mgr_->read_word(t, sh.site, slot, sh.slot_keys[slot]) ==
+                 static_cast<dsm::Word>(key)) {
+    next += txn_mgr_->read_word(t, sh.site, slot, sh.slot_values[slot]);
   }
-  return multi_put_impl(n, std::move(kvs));
-}
-
-sim::Process ShardedStore::multi_put_occ(
-    dsm::NodeId n, std::vector<std::pair<Key, dsm::Word>> kvs,
-    std::vector<ShardId> ids) {
-  auto& sched = sys_->scheduler();
-  const sim::Time started = sched.now();
-  auto& cm = txn_mgr_->contention();
-  std::vector<Key> keys;
-  if (cfg_.elastic.enabled) keys = keys_of(kvs);
-  std::uint32_t aborts = 0;
-  for (;;) {
-    // A directory move between attempts re-homes keys; route each attempt
-    // against the live map so retries land on the new owners.
-    if (cfg_.elastic.enabled) ids = involved_shards(keys);
-    if (cm.should_fallback(aborts)) {
-      // Abort budget exhausted: go irrevocable. The legacy path acquires
-      // the same locks in the same ascending order, so progress is
-      // guaranteed however hot the keys.
-      cm.note_fallback();
-      for (const ShardId s : ids) ++shards_[s]->txn_fallbacks;
-      record_txn_fallback(n, ids, aborts);
-      co_await multi_put_impl(n, std::move(kvs)).join();
-      co_return;
-    }
-    txn::Txn t;
-    txn_mgr_->begin(t, n);
-    if (cfg_.elastic.enabled) {
-      // Blind puts gain a read-set entry on each involved shard's
-      // DIRECTORY orec stripe: elastic_reassign bumps it under the shard
-      // locks, so a put speculated against the old epoch fails validation
-      // (doomed, not lost) instead of publishing to a shard its key has
-      // already left. Reading the directory stripe — not the slot stripes,
-      // which every single-key put bumps — keeps static traffic free of
-      // false conflicts.
-      for (const ShardId s : ids) {
-        txn_mgr_->observe(t, shards_[s]->site, cfg_.slots_per_shard);
-      }
-    }
-    const sim::Time spec_began = sched.now();
-    for (const auto& [key, value] : kvs) {
-      Shard& sh = *shards_[map_.shard_of(key)];
-      const auto slot = static_cast<std::uint32_t>(slot_of(key));
-      txn_mgr_->write_word(t, sh.site, slot, sh.slot_keys[slot],
-                           static_cast<dsm::Word>(key));
-      txn_mgr_->write_word(t, sh.site, slot, sh.slot_values[slot], value);
-    }
-    co_await txn_mgr_->speculate_for(
-        t, (cfg_.write_compute_ns + 2 * cfg_.txn.tuning.save_ns_per_var) *
-               static_cast<sim::Duration>(kvs.size())).join();
-    if (auto* trc = sys_->tracer()) {
-      if (const auto ctx = trc->node_ctx(n); ctx.valid()) {
-        trc->record_span(ctx.trace, ctx.span, telemetry::SpanKind::kSpeculate,
-                         n, spec_began, sched.now());
-      }
-    }
-    txn::TxnManager::CommitResult res;
-    co_await txn_mgr_->commit(t, &res).join();
-    if (res.committed) {
-      for (const ShardId s : ids) {
-        ++shards_[s]->committed;
-        ++shards_[s]->txn_commits;
-      }
-      record_txn_flight(started, res.locks_acquired_at);
-      co_return;
-    }
-    ++aborts;
-    for (const ShardId s : ids) {
-      ++shards_[s]->txn_aborts;
-      ++shards_[s]->txn_retries;
-    }
-    record_txn_abort(n, res, ids, aborts);
-    co_await cm.backoff(n, aborts).join();
-  }
-}
-
-void ShardedStore::rmw_step(txn::Txn& t, Shard& sh, std::uint32_t slot,
-                            Key key, dsm::Word delta) {
-  // Read-your-writes: both reads are covered by this stripe's write lock
-  // at commit, so the rmw is strictly serializable.
-  const dsm::Word cur_key =
-      txn_mgr_->read_word(t, sh.site, slot, sh.slot_keys[slot]);
-  const dsm::Word cur_val =
-      cur_key == static_cast<dsm::Word>(key)
-          ? txn_mgr_->read_word(t, sh.site, slot, sh.slot_values[slot])
-          : 0;
   txn_mgr_->write_word(t, sh.site, slot, sh.slot_keys[slot],
                        static_cast<dsm::Word>(key));
-  txn_mgr_->write_word(t, sh.site, slot, sh.slot_values[slot],
-                       cur_val + delta);
+  txn_mgr_->write_word(t, sh.site, slot, sh.slot_values[slot], next);
 }
 
-sim::Process ShardedStore::multi_rmw_direct(dsm::NodeId n,
-                                            std::vector<Key> keys,
-                                            dsm::Word delta) {
+sim::Process ShardedStore::multi_write(
+    dsm::NodeId n, std::vector<std::pair<Key, dsm::Word>> kvs, bool add) {
   auto& sched = sys_->scheduler();
   const sim::Time started = sched.now();
+  const std::vector<Key> keys = keys_of(kvs);
   std::vector<ShardId> ids = involved_shards(keys);
   auto& cm = txn_mgr_->contention();
   // Compute plus undo-journal cost of one key's step, speculative or
@@ -603,14 +501,15 @@ sim::Process ShardedStore::multi_rmw_direct(dsm::NodeId n,
       cfg_.write_compute_ns + 2 * cfg_.txn.tuning.save_ns_per_var;
   std::uint32_t aborts = 0;
   for (;;) {
+    // A directory move between attempts re-homes keys; route each attempt
+    // against the live map so retries land on the new owners.
     if (cfg_.elastic.enabled) ids = involved_shards(keys);
     if (cfg_.txn.mode == TxnMode::kLegacy || cm.should_fallback(aborts)) {
-      if (cfg_.txn.mode == TxnMode::kOcc) {
-        cm.note_fallback();
-        for (const ShardId s : ids) ++shards_[s]->txn_fallbacks;
-        record_txn_fallback(n, ids, aborts);
-      }
-      co_await multi_rmw_impl(n, std::move(keys), delta).join();
+      // Legacy mode, or the abort budget is exhausted: go irrevocable. The
+      // locked path acquires the same locks in the same ascending order,
+      // so progress is guaranteed however hot the keys.
+      if (cfg_.txn.mode == TxnMode::kOcc) record_txn_fallback(n, ids, aborts);
+      co_await multi_write_locked(n, std::move(kvs), add).join();
       co_return;
     }
     txn::Txn t;
@@ -618,44 +517,50 @@ sim::Process ShardedStore::multi_rmw_direct(dsm::NodeId n,
     // Each key's stripe as routed for this attempt: the one it speculates
     // on and the commit locks, so a repair re-runs it there.
     std::vector<std::pair<Shard*, std::uint32_t>> at;
-    at.reserve(keys.size());
+    at.reserve(kvs.size());
     for (const Key key : keys) {
       at.emplace_back(shards_[map_.shard_of(key)].get(),
                       static_cast<std::uint32_t>(slot_of(key)));
     }
-    // §4 re-execution: a conflict on a key's stripe (which every rmw both
-    // reads and writes) does not abort the attempt; commit re-runs that
-    // stripe's keys under its lock against the committed values.
-    t.repair = [this, &keys, &at, delta, per_key](
+    // §4 re-execution: a conflict on a stripe an add both reads and writes
+    // does not abort the attempt; commit re-runs that stripe's keys under
+    // its lock against the committed values. A put reads no slot stripe,
+    // so it never has a stale one and the step never fires for it.
+    t.repair = [this, &kvs, &at, add, per_key](
                    txn::Txn& tx, const std::vector<txn::StripeRef>& stale) {
       sim::Duration cost = 0;
-      for (std::size_t i = 0; i < keys.size(); ++i) {
+      for (std::size_t i = 0; i < kvs.size(); ++i) {
         const auto& [sh, slot] = at[i];
         if (std::find(stale.begin(), stale.end(),
                       txn::StripeRef{sh->site, slot}) == stale.end()) {
           continue;
         }
-        rmw_step(tx, *sh, slot, keys[i], delta);
+        write_step(tx, *sh, slot, kvs[i].first, kvs[i].second, add);
         cost += per_key;
       }
       return cost;
     };
     if (cfg_.elastic.enabled) {
-      // Same doomed-not-lost guard as multi_put_occ: a key ABSENT from its
-      // (old) owner leaves no moved slot behind to bump, so the slot reads
-      // below would not catch a concurrent directory move — the directory
-      // stripe does. It is read, never written, so it stays uncovered: a
-      // directory move still aborts the attempt.
+      // Doomed, not lost: every write reads each involved shard's
+      // DIRECTORY orec stripe. elastic_reassign bumps it under the shard
+      // locks, so an attempt speculated against the old epoch fails
+      // validation instead of publishing to a shard its key has already
+      // left — including a key absent from its old owner, which leaves no
+      // moved slot behind to bump. The stripe is read, never written, so
+      // it stays uncovered (a move aborts, never repairs), and reading it
+      // instead of the slot stripes keeps static puts free of false
+      // conflicts.
       for (const ShardId s : ids) {
         txn_mgr_->observe(t, shards_[s]->site, cfg_.slots_per_shard);
       }
     }
     const sim::Time spec_began = sched.now();
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      rmw_step(t, *at[i].first, at[i].second, keys[i], delta);
+    for (std::size_t i = 0; i < kvs.size(); ++i) {
+      write_step(t, *at[i].first, at[i].second, kvs[i].first, kvs[i].second,
+                 add);
     }
     co_await txn_mgr_->speculate_for(
-        t, per_key * static_cast<sim::Duration>(keys.size())).join();
+        t, per_key * static_cast<sim::Duration>(kvs.size())).join();
     if (auto* trc = sys_->tracer()) {
       if (const auto ctx = trc->node_ctx(n); ctx.valid()) {
         trc->record_span(ctx.trace, ctx.span, telemetry::SpanKind::kSpeculate,
@@ -674,36 +579,37 @@ sim::Process ShardedStore::multi_rmw_direct(dsm::NodeId n,
       co_return;
     }
     ++aborts;
-    for (const ShardId s : ids) {
-      ++shards_[s]->txn_aborts;
-      ++shards_[s]->txn_retries;
-    }
     record_txn_abort(n, res, ids, aborts);
     co_await cm.backoff(n, aborts).join();
   }
 }
 
-sim::Process ShardedStore::multi_rmw_impl(dsm::NodeId n, std::vector<Key> keys,
-                                          dsm::Word delta) {
+sim::Process ShardedStore::multi_write_locked(
+    dsm::NodeId n, std::vector<std::pair<Key, dsm::Word>> kvs, bool add) {
   auto& sched = sys_->scheduler();
   const sim::Time started = sched.now();
   // The irrevocable path holds the owners' stripe locks across the compute.
+  const std::vector<Key> keys = keys_of(kvs);
   Footprint fp;
   std::unique_ptr<core::MultiGroupMutex> mux;
   co_await lock_footprint(n, &keys, &fp, &mux).join();
   const sim::Time acquired = sched.now();
   auto& node = sys_->node(n);
   co_await sim::delay(
-      sched, cfg_.write_compute_ns * static_cast<sim::Duration>(keys.size()));
-  for (const Key key : keys) {
+      sched, cfg_.write_compute_ns * static_cast<sim::Duration>(kvs.size()));
+  for (const auto& [key, value] : kvs) {
     Shard& sh = *shards_[map_.shard_of(key)];
-    const std::size_t slot = slot_of(key);
-    const dsm::Word cur =
-        node.read(sh.slot_keys[slot]) == static_cast<dsm::Word>(key)
-            ? node.read(sh.slot_values[slot])
-            : 0;
-    write_slot(sh, node, key, cur + delta);
+    dsm::Word next = value;
+    if (add) {
+      const std::size_t slot = slot_of(key);
+      if (node.read(sh.slot_keys[slot]) == static_cast<dsm::Word>(key)) {
+        next += node.read(sh.slot_values[slot]);
+      }
+    }
+    write_slot(sh, node, key, next);
   }
+  // One ledger bump (and one committed section) per involved shard,
+  // however many of the transaction's keys and stripes landed on it.
   bump_ledger(node, fp);
   mux->release(n);
   if (auto* trc = sys_->tracer()) {
@@ -727,11 +633,7 @@ sim::Process ShardedStore::multi_get_direct(
     if (cfg_.elastic.enabled) ids = involved_shards(keys);
     if (cfg_.txn.mode == TxnMode::kLegacy || cm.should_fallback(aborts)) {
       // Irrevocable snapshot: read under every involved stripe lock.
-      if (cfg_.txn.mode == TxnMode::kOcc) {
-        cm.note_fallback();
-        for (const ShardId s : ids) ++shards_[s]->txn_fallbacks;
-        record_txn_fallback(n, ids, aborts);
-      }
+      if (cfg_.txn.mode == TxnMode::kOcc) record_txn_fallback(n, ids, aborts);
       Footprint fp;
       std::unique_ptr<core::MultiGroupMutex> mux;
       co_await lock_footprint(n, &keys, &fp, &mux).join();
@@ -766,42 +668,9 @@ sim::Process ShardedStore::multi_get_direct(
       co_return;
     }
     ++aborts;
-    for (const ShardId s : ids) {
-      ++shards_[s]->txn_aborts;
-      ++shards_[s]->txn_retries;
-    }
     record_txn_abort(n, res, ids, aborts);
     co_await cm.backoff(n, aborts).join();
   }
-}
-
-sim::Process ShardedStore::multi_put_impl(
-    dsm::NodeId n, std::vector<std::pair<Key, dsm::Word>> kvs) {
-  auto& sched = sys_->scheduler();
-  const sim::Time started = sched.now();
-  const std::vector<Key> keys = keys_of(kvs);
-  Footprint fp;
-  std::unique_ptr<core::MultiGroupMutex> mux;
-  co_await lock_footprint(n, &keys, &fp, &mux).join();
-  const sim::Time acquired = sched.now();
-  auto& node = sys_->node(n);
-  co_await sim::delay(
-      sched, cfg_.write_compute_ns * static_cast<sim::Duration>(kvs.size()));
-  for (const auto& [key, value] : kvs) {
-    write_slot(*shards_[map_.shard_of(key)], node, key, value);
-  }
-  // One ledger bump (and one committed section) per involved shard,
-  // however many of the transaction's keys and stripes landed on it.
-  bump_ledger(node, fp);
-  mux->release(n);
-  if (auto* trc = sys_->tracer()) {
-    if (const auto ctx = trc->node_ctx(n); ctx.valid()) {
-      trc->record_span(ctx.trace, ctx.span, telemetry::SpanKind::kCs, n,
-                       acquired, sched.now());
-    }
-  }
-  for (const ShardId s : fp.ids) ++shards_[s]->committed;
-  record_txn_flight(started, acquired);
 }
 
 // --- elastic fabric --------------------------------------------------------
@@ -1004,7 +873,9 @@ void ShardedStore::fill_report(stats::ServiceReport& report) {
     entry.redirects = sh.redirects;
     entry.txn_commits = sh.txn_commits;
     entry.txn_aborts = sh.txn_aborts;
-    entry.txn_retries = sh.txn_retries;
+    // Every abort is followed by a retry (or the fallback, which the
+    // report counts separately), so the two counts are one.
+    entry.txn_retries = sh.txn_aborts;
     entry.txn_fallbacks = sh.txn_fallbacks;
     entry.txn_repairs = sh.txn_repairs;
     entry.aborts_read_clobber = sh.aborts_read_clobber;
@@ -1163,10 +1034,6 @@ std::uint64_t ShardedStore::txn_aborts(ShardId s) const {
   return shards_.at(s)->txn_aborts;
 }
 
-std::uint64_t ShardedStore::txn_retries(ShardId s) const {
-  return shards_.at(s)->txn_retries;
-}
-
 std::uint64_t ShardedStore::txn_fallbacks(ShardId s) const {
   return shards_.at(s)->txn_fallbacks;
 }
@@ -1217,6 +1084,7 @@ void ShardedStore::record_txn_abort(dsm::NodeId n,
   }
   for (const ShardId s : ids) {
     Shard& sh = *shards_[s];
+    ++sh.txn_aborts;
     switch (reason) {
       case telemetry::AbortReason::kReadSetClobber:
         ++sh.aborts_read_clobber;
@@ -1264,6 +1132,8 @@ void ShardedStore::record_txn_repair(dsm::NodeId n,
 void ShardedStore::record_txn_fallback(dsm::NodeId n,
                                        const std::vector<ShardId>& ids,
                                        std::uint32_t attempts) {
+  txn_mgr_->contention().note_fallback();
+  for (const ShardId s : ids) ++shards_[s]->txn_fallbacks;
   auto* j = sys_->journal();
   if (j == nullptr) return;
   // One escalation record per involved set; the deepest shard id is as

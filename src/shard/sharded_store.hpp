@@ -48,8 +48,18 @@
 // compute. Either way every involved shard's ledger is bumped once, so the
 // per-shard serializability ledger stays exact across shard boundaries,
 // and every committed slot write bumps the slot's orec stripe,
-// which is what multi_get/multi_rmw readers — and lease epochs — validate
+// which is what multi-key readers and adds — and lease epochs — validate
 // against.
+//
+// Multi-key writes have one path. A put is an add whose new value ignores
+// the old one, so puts and adds (read-modify-writes) share one OCC attempt
+// loop (multi_write), one locked fallback (multi_write_locked) and one
+// per-key step (write_step), which only an add lets read the slot. Both
+// carry the §4 repair step: a conflict on a stripe the write both reads
+// and writes re-runs that stripe under the commit lock instead of
+// aborting. A put reads no slot stripe, so its repair never fires; its
+// only reads are the elastic directory stripes, which it never writes, so
+// a directory move still aborts it.
 //
 // The operation surface lives on shard::Client (shard/client.hpp):
 // read/write/txn with an explicit ConsistencyLevel.
@@ -296,12 +306,12 @@ class ShardedStore {
   }
   /// OCC layer introspection (orec versions, contention counters).
   [[nodiscard]] txn::TxnManager& txn_manager() { return *txn_mgr_; }
-  /// Cross-shard transactions that committed / aborted / retried with this
-  /// shard involved, plus escalations to the irrevocable fallback and
-  /// commits that repaired a stale stripe of this shard.
+  /// Cross-shard transactions that committed / aborted with this shard
+  /// involved (every abort is retried, so aborts also count retries), plus
+  /// escalations to the irrevocable fallback and commits that repaired a
+  /// stale stripe of this shard.
   [[nodiscard]] std::uint64_t txn_commits(ShardId s) const;
   [[nodiscard]] std::uint64_t txn_aborts(ShardId s) const;
-  [[nodiscard]] std::uint64_t txn_retries(ShardId s) const;
   [[nodiscard]] std::uint64_t txn_fallbacks(ShardId s) const;
   [[nodiscard]] std::uint64_t txn_repairs(ShardId s) const;
   /// Abort-reason partition and per-stripe conflict heatmap (forensics;
@@ -334,7 +344,6 @@ class ShardedStore {
     txn::SiteId site = 0;  ///< this shard's site in the txn layer
     std::uint64_t txn_commits = 0;
     std::uint64_t txn_aborts = 0;
-    std::uint64_t txn_retries = 0;
     std::uint64_t txn_fallbacks = 0;
     /// Commits that re-ran at least one stale stripe of this shard under
     /// its lock (a repair is not an abort: txn_aborts is untouched).
@@ -362,10 +371,13 @@ class ShardedStore {
   sim::Process read_op(dsm::NodeId n, Key key, std::optional<dsm::Word>* out,
                        ConsistencyLevel level);
   sim::Process write_op(dsm::NodeId n, Key key, dsm::Word value);
-  sim::Process multi_put_op(dsm::NodeId n,
-                            std::vector<std::pair<Key, dsm::Word>> kvs);
-  sim::Process multi_rmw_op(dsm::NodeId n, std::vector<Key> keys,
-                            dsm::Word delta);
+  /// Multi-key write: writes each pair's value to its key (a put), or adds
+  /// it to the key's current value when `add` (absent keys start at 0).
+  /// Routes to the primary shard root in partial mode, then runs
+  /// multi_write.
+  sim::Process multi_write_op(dsm::NodeId n,
+                              std::vector<std::pair<Key, dsm::Word>> kvs,
+                              bool add);
   sim::Process multi_get_op(dsm::NodeId n, std::vector<Key> keys,
                             std::vector<std::optional<dsm::Word>>* out,
                             ConsistencyLevel level);
@@ -380,24 +392,26 @@ class ShardedStore {
   /// the key between routing and lock acquisition — put_direct re-routes.
   sim::Process put_optimistic(Shard& sh, ShardId sid, dsm::NodeId n, Key key,
                               dsm::Word value, bool* moved);
-  sim::Process multi_put_direct(dsm::NodeId n,
-                                std::vector<std::pair<Key, dsm::Word>> kvs);
-  sim::Process multi_rmw_direct(dsm::NodeId n, std::vector<Key> keys,
-                                dsm::Word delta);
+  /// The one OCC attempt loop of multi-key writes on node `n`: speculate,
+  /// commit (repairing stale covered stripes under the commit locks), and
+  /// on abort back off and retry. Legacy mode, or an exhausted abort
+  /// budget, runs multi_write_locked instead.
+  sim::Process multi_write(dsm::NodeId n,
+                           std::vector<std::pair<Key, dsm::Word>> kvs,
+                           bool add);
+  /// The irrevocable multi-key write: holds every involved stripe lock
+  /// across the whole compute (core::MultiGroupMutex).
+  sim::Process multi_write_locked(dsm::NodeId n,
+                                  std::vector<std::pair<Key, dsm::Word>> kvs,
+                                  bool add);
+  /// One key's write inside `t` on its routed (shard, slot): writes the key
+  /// and `value`, plus the slot's current value when `add` (only an add
+  /// reads the slot). The speculative pass and the commit-time repair both
+  /// run it.
+  void write_step(txn::Txn& t, Shard& sh, std::uint32_t slot, Key key,
+                  dsm::Word value, bool add);
   sim::Process multi_get_direct(dsm::NodeId n, std::vector<Key> keys,
                                 std::vector<std::optional<dsm::Word>>* out);
-  sim::Process multi_put_impl(dsm::NodeId n,
-                              std::vector<std::pair<Key, dsm::Word>> kvs);
-  sim::Process multi_put_occ(dsm::NodeId n,
-                             std::vector<std::pair<Key, dsm::Word>> kvs,
-                             std::vector<ShardId> ids);
-  sim::Process multi_rmw_impl(dsm::NodeId n, std::vector<Key> keys,
-                              dsm::Word delta);
-  /// One key's read-modify-write inside `t` on its routed (shard, slot):
-  /// reads the slot, writes the key and the value plus `delta`. The
-  /// speculative pass and the commit-time repair both run it.
-  void rmw_step(txn::Txn& t, Shard& sh, std::uint32_t slot, Key key,
-                dsm::Word delta);
 
   /// The stripe locks a multi-key section over some keys holds: every
   /// involved (shard, slot) stripe lock, ascending — which is the global
@@ -441,9 +455,10 @@ class ShardedStore {
       const std::vector<Key>& keys) const;
   void record_txn_flight(sim::Time started, sim::Time acquired);
 
-  /// Classifies one failed OCC commit attempt, bumps the abort-reason
-  /// counters on every involved shard + the conflict-stripe heatmap on the
-  /// conflict shard, and journals the abort (when a journal is attached).
+  /// Classifies one failed OCC commit attempt, bumps txn_aborts and the
+  /// abort-reason counters on every involved shard + the conflict-stripe
+  /// heatmap on the conflict shard, and journals the abort (when a journal
+  /// is attached).
   void record_txn_abort(dsm::NodeId n,
                         const txn::TxnManager::CommitResult& res,
                         const std::vector<ShardId>& ids, std::uint32_t attempt);
@@ -452,7 +467,8 @@ class ShardedStore {
   void record_txn_repair(dsm::NodeId n,
                          const std::vector<txn::StripeRef>& stale,
                          std::uint32_t attempt);
-  /// Journals a contention-manager escalation to the irrevocable fallback.
+  /// Counts an escalation to the irrevocable fallback (contention manager
+  /// and txn_fallbacks on every involved shard) and journals it.
   void record_txn_fallback(dsm::NodeId n, const std::vector<ShardId>& ids,
                            std::uint32_t attempts);
 

@@ -12,7 +12,9 @@ void Logger::log(LogLevel lvl, std::string_view msg) {
                                            "WARN", "ERROR", "OFF"};
   std::string line;
   if (clock_ != nullptr) {
-    line += "[" + format_time(clock_->now()) + "] ";
+    line += '[';
+    line += format_time(clock_->now());
+    line += "] ";
   }
   line += kNames[static_cast<int>(lvl)];
   line += " ";

@@ -68,7 +68,7 @@ std::string sanitize_name(std::string_view raw, bool allow_colon) {
                     (allow_colon && c == ':');
     out.push_back(ok ? c : '_');
   }
-  if (out.empty()) out = "_";
+  if (out.empty()) out.push_back('_');
   if (out.front() >= '0' && out.front() <= '9') out.insert(out.begin(), '_');
   return out;
 }

@@ -9,7 +9,6 @@ namespace optsync::txn {
 
 ContentionManager::ContentionManager(dsm::DsmSystem& sys, ContentionConfig cfg)
     : sys_(&sys), cfg_(cfg), jitter_(cfg.seed) {
-  OPTSYNC_EXPECT(cfg.max_aborts >= 1);
   OPTSYNC_EXPECT(cfg.backoff_base_ns >= 1);
   OPTSYNC_EXPECT(cfg.backoff_cap_ns >= cfg.backoff_base_ns);
 }

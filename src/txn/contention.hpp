@@ -20,7 +20,8 @@ namespace optsync::txn {
 
 struct ContentionConfig {
   /// Aborts tolerated before should_fallback() escalates to the
-  /// irrevocable (pessimistic) path.
+  /// irrevocable (pessimistic) path. 0 escalates every transaction on its
+  /// first attempt: the locked path under OCC-mode accounting.
   std::uint32_t max_aborts = 4;
 
   /// Backoff after the k-th abort: base << min(k-1, cap doublings), then

@@ -187,7 +187,9 @@ TEST(EventQueue, MillionOpArmCancelStormStaysBounded) {
   std::size_t peak_slots = 0;
   for (std::uint64_t i = 0; i < kOps; ++i) {
     const std::size_t k = i % kLive;
-    if (live[k] != 0) ASSERT_TRUE(q.cancel(live[k]));
+    if (live[k] != 0) {
+      ASSERT_TRUE(q.cancel(live[k]));
+    }
     live[k] = q.push(static_cast<Time>(kOps + i), [] {});
     peak_heap = std::max(peak_heap, q.heap_entries());
     peak_slots = std::max(peak_slots, q.slot_count());

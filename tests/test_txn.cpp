@@ -6,11 +6,15 @@
 // transaction with a repair step re-runs its stale covered stripes under
 // its commit locks instead of aborting (uncovered reads still abort), the
 // contention manager escalates after its abort budget, and the store's
-// multi_rmw/multi_get ride the layer without losing updates.
+// multi-key writes (puts and adds share one path) and snapshot reads ride
+// the layer without losing updates.
 #include "txn/txn.hpp"
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "elastic/directory_manager.hpp"
@@ -694,37 +698,131 @@ TEST(StoreTxn, MultiGetReturnsCommittedSnapshot) {
   EXPECT_FALSE(res.values[2].has_value());  // never written
 }
 
+// Puts, adds and snapshot reads run under OCC, under legacy, and under OCC
+// with a zero abort budget, where every multi-key op escalates to the
+// locked path at once. The keys sit on distinct (shard, slot) stripes, so
+// the final state is a function of the ops alone, whatever the
+// interleaving: every config must end with the same value per key, and
+// those values must be each worker's last put and the exact add sums.
 TEST(StoreTxn, OccAndLegacyAgreeOnFinalState) {
-  auto run_mode = [](shard::TxnMode mode) {
-    shard::ShardedStoreConfig scfg;
-    scfg.shards = 4;
+  constexpr int kWorkers = 4;
+  constexpr int kRounds = 6;
+  constexpr std::uint64_t kOps = 3 * kWorkers * kRounds;  // put, add, read
+  constexpr std::size_t kAddKeys = 6;
+  shard::ShardedStoreConfig base;
+  base.shards = 4;
+  base.slots_per_shard = 16;
+  // Two put keys per worker (keys[2n], keys[2n+1]), then the shared add
+  // keys, each on a stripe of its own.
+  std::vector<shard::Key> keys;
+  {
+    StoreFixture probe(base);
+    std::set<std::pair<shard::ShardId, std::size_t>> stripes;
+    for (shard::Key k = 1; keys.size() < 2 * kWorkers + kAddKeys; ++k) {
+      if (stripes.emplace(probe.store.shard_of(k), probe.store.slot_of(k))
+              .second) {
+        keys.push_back(k);
+      }
+    }
+  }
+  const auto put_key = [&](int n, int i) { return keys[2 * n + i]; };
+  const auto add_key = [&](int i) {
+    return keys[2 * kWorkers + static_cast<std::size_t>(i) % kAddKeys];
+  };
+  const auto put_value = [](int n, int k, int i) {
+    return static_cast<dsm::Word>(1000 * n + 100 * i + k);
+  };
+  std::map<shard::Key, dsm::Word> expected;
+  for (int n = 0; n < kWorkers; ++n) {
+    for (int i = 0; i < 2; ++i) {
+      expected[put_key(n, i)] = put_value(n, kRounds - 1, i);
+    }
+    for (int k = 0; k < kRounds; ++k) {
+      expected[add_key(n + k)] += n + 1;
+      expected[add_key(n + k + 1)] += n + 1;
+    }
+  }
+  const dsm::Word add_total = 2 * kRounds * kWorkers * (kWorkers + 1) / 2;
+
+  auto run_config = [&](shard::TxnMode mode, std::uint32_t max_aborts) {
+    shard::ShardedStoreConfig scfg = base;
     scfg.txn.mode = mode;
+    scfg.txn.tuning.contention.max_aborts = max_aborts;
     StoreFixture f(scfg);
-    auto worker = [&](dsm::NodeId n, std::uint64_t seed) -> sim::Process {
-      sim::Rng rng(seed);
-      for (int k = 0; k < 6; ++k) {
-        const auto a = static_cast<shard::Key>(1 + rng.below(30));
-        auto b = static_cast<shard::Key>(1 + rng.below(30));
-        if (b == a) b = (b % 30) + 1;
-        shard::TxnRequest req;
-        req.puts = {{a, static_cast<dsm::Word>(k)},
-                    {b, static_cast<dsm::Word>(k + 100)}};
-        co_await f.client.txn(n, std::move(req)).join();
+    std::uint64_t op_shards = 0;  // sum of involved shards over the ops
+    auto count = [&](const std::vector<shard::Key>& ks) {
+      std::set<shard::ShardId> ids;
+      for (const shard::Key k : ks) ids.insert(f.store.shard_of(k));
+      op_shards += ids.size();
+    };
+    auto worker = [&](int n) -> sim::Process {
+      const auto node = static_cast<dsm::NodeId>(n);
+      for (int k = 0; k < kRounds; ++k) {
+        shard::TxnRequest put;
+        put.puts = {{put_key(n, 0), put_value(n, k, 0)},
+                    {put_key(n, 1), put_value(n, k, 1)}};
+        count({put_key(n, 0), put_key(n, 1)});
+        co_await f.client.txn(node, std::move(put)).join();
+
+        shard::TxnRequest add;
+        add.adds = {add_key(n + k), add_key(n + k + 1)};
+        add.delta = n + 1;
+        count(add.adds);
+        co_await f.client.txn(node, std::move(add)).join();
+
+        shard::TxnRequest read;
+        read.reads = {put_key(n, 0), put_key(n, 1), add_key(n + k)};
+        count(read.reads);
+        shard::TxnResult res;
+        co_await f.client
+            .txn(node, std::move(read), &res,
+                 {shard::ConsistencyLevel::kSnapshot})
+            .join();
+        // Only this worker writes its put keys: it reads its own last put.
+        EXPECT_EQ(res.values.at(0).value_or(-1), put_value(n, k, 0));
+        EXPECT_EQ(res.values.at(1).value_or(-1), put_value(n, k, 1));
+        const dsm::Word sum = res.values.at(2).value_or(-1);
+        EXPECT_GE(sum, n + 1);  // this worker's own add is in
+        EXPECT_LE(sum, add_total);
       }
     };
     std::vector<sim::Process> procs;
-    for (dsm::NodeId n = 0; n < 4; ++n) {
-      procs.push_back(worker(n, 31 + n));
-    }
+    for (int n = 0; n < kWorkers; ++n) procs.push_back(worker(n));
     f.sched.run();
     for (auto& p : procs) p.rethrow_if_failed();
     EXPECT_TRUE(f.store.replicas_converged());
     stats::ServiceReport report;
     f.store.fill_report(report);
     EXPECT_TRUE(report.serializable());
+    std::uint64_t fallbacks = 0;
+    std::uint64_t commits = 0;
+    for (shard::ShardId s = 0; s < f.store.shards(); ++s) {
+      fallbacks += f.store.txn_fallbacks(s);
+      commits += f.store.txn_commits(s);
+    }
+    if (mode == shard::TxnMode::kOcc && max_aborts > 0) {
+      EXPECT_GT(commits, 0u);  // the OCC run really speculated
+    }
+    if (mode == shard::TxnMode::kOcc && max_aborts == 0) {
+      // Every multi-key op, of every class, took the locked path once.
+      EXPECT_EQ(f.store.txn_manager().contention().fallbacks_signalled(),
+                kOps);
+      EXPECT_EQ(fallbacks, op_shards);
+      EXPECT_EQ(commits, 0u);
+    }
+    std::map<shard::Key, dsm::Word> final_state;
+    for (const shard::Key k : keys) {
+      final_state[k] = read_now(f, 0, k).value_or(-1);
+    }
+    return final_state;
   };
-  run_mode(shard::TxnMode::kOcc);
-  run_mode(shard::TxnMode::kLegacy);
+  const std::uint32_t budget = base.txn.tuning.contention.max_aborts;
+  const auto occ = run_config(shard::TxnMode::kOcc, budget);
+  const auto legacy = run_config(shard::TxnMode::kLegacy, budget);
+  const auto locked = run_config(shard::TxnMode::kOcc, 0);
+  EXPECT_EQ(occ, expected);
+  EXPECT_EQ(legacy, expected);
+  EXPECT_EQ(locked, expected);
 }
 
 TEST(StoreTxn, AbortBudgetEscalatesToIrrevocableFallback) {

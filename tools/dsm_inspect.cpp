@@ -9,8 +9,8 @@
 // lease epochs churned, and whether the critical-path extraction explains
 // the latency tail.
 //
-//   dsm_inspect --journal run.journal.json --metrics run.metrics.json \
-//               --check-abort-sums --min-p99-named 0.95
+//   dsm_inspect --journal run.journal.json --metrics run.metrics.json
+//               --check-abort-sums --min-p99-named 0.95   (one command line)
 //
 // Exit status is nonzero on parse errors, schema violations (a txn_abort
 // record without its reason/stripe, a txn_repair record without its
