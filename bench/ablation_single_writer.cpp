@@ -15,6 +15,8 @@
 // though no contention ever exists.
 #include <iostream>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_metrics.hpp"
@@ -85,8 +87,9 @@ Outcome run(Variant variant, const dsm::DsmConfig& dcfg) {
   const auto lock = sys.define_lock("L", g);
   std::vector<dsm::VarId> fields;
   for (int i = 0; i < 4; ++i) {
-    fields.push_back(
-        sys.define_mutex_data("f" + std::to_string(i), g, lock, 0));
+    std::string name = "f";
+    name += std::to_string(i);
+    fields.push_back(sys.define_mutex_data(std::move(name), g, lock, 0));
   }
   stats::LockStats lstats;
   lstats.name =

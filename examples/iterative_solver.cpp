@@ -14,6 +14,8 @@
 #include <cstdio>
 #include <iostream>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/publication.hpp"
@@ -84,8 +86,10 @@ int main() {
   s.g = s.sys->create_group(members, 0);
   s.barrier = std::make_unique<sync::EagerBarrier>(*s.sys, s.g, "round");
   for (dsm::NodeId i = 0; i < kNodes; ++i) {
+    std::string name = "b";
+    name += std::to_string(i);
     s.boundary.push_back(std::make_unique<core::PublishedRecord>(
-        *s.sys, s.g, "b" + std::to_string(i), 2, i));
+        *s.sys, s.g, std::move(name), 2, i));
   }
 
   std::vector<sim::Process> procs;

@@ -221,12 +221,15 @@ void DsmSystem::share_out_lock_set(NodeId origin,
     sent = sched_->now();
     base = net_.latency_hops(grp.up_hops(origin), bytes);
   }
+  // `set = locks`, not a plain `locks` capture: copying a const reference
+  // would make the member a const vector, whose "move" is a throwing copy,
+  // and SmallFn would then heap-allocate every lock-set request.
   transport_send(
       origin, root, grp.up_hops(origin), bytes, "lock-up",
-      [this, g, origin, locks, value, ctx, sent, base] {
+      [this, g, origin, set = locks, value, ctx, sent, base] {
         record_flight_spans(ctx, telemetry::SpanKind::kWireUp, origin, sent,
                             base);
-        roots_[g]->on_lock_set(origin, locks, value, ctx);
+        roots_[g]->on_lock_set(origin, set, value, ctx);
       });
 }
 

@@ -1,6 +1,8 @@
 #include "simkern/event_queue.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
 
 #include "simkern/assert.hpp"
 
@@ -13,28 +15,51 @@ EventId EventQueue::push(Time when, Callback cb) {
     slot = free_slots_.back();
     free_slots_.pop_back();
   } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
+    slot = static_cast<std::uint32_t>(gens_.size());
+    if (slot % kPageSlots == 0) {
+      pages_.push_back(std::make_unique_for_overwrite<Callback[]>(kPageSlots));
+    }
+    gens_.push_back(gen_floor_);
   }
-  Slot& s = slots_[slot];
-  s.cb = std::move(cb);
-  heap_.push_back(Entry{when, next_seq_++, slot, s.gen});
+  callback(slot) = std::move(cb);
+  const std::uint32_t gen = gens_[slot];
+  heap_.push_back(Entry{when, next_seq_++, slot, gen});
   sift_up(heap_.size() - 1);
   ++live_;
-  return make_id(slot, s.gen);
+  return make_id(slot, gen);
 }
 
 void EventQueue::free_slot(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  s.cb = nullptr;
-  if (++s.gen == 0) s.gen = 1;  // ids are never 0; see EventId docs
+  callback(slot) = nullptr;
+  if (++gens_[slot] == 0) gens_[slot] = 1;  // ids are never 0; see EventId
   free_slots_.push_back(slot);
+}
+
+void EventQueue::clear() {
+  std::uint32_t top = gen_floor_;
+  for (const std::uint32_t g : gens_) top = std::max(top, g);
+  gen_floor_ = top == UINT32_MAX ? 1 : top + 1;  // ids are never 0
+
+  const std::size_t kept = std::min(gens_.size(), kPageSlots);
+  pages_.resize(std::min<std::size_t>(pages_.size(), 1));
+  for (std::uint32_t i = 0; i < kept; ++i) callback(i) = nullptr;
+  gens_.assign(kept, gen_floor_);
+  gens_.shrink_to_fit();
+  free_slots_.resize(kept);
+  for (std::size_t i = 0; i < kept; ++i) {
+    free_slots_[i] = static_cast<std::uint32_t>(kept - 1 - i);
+  }
+  free_slots_.shrink_to_fit();
+  heap_.clear();
+  heap_.shrink_to_fit();
+  live_ = 0;
+  dead_in_heap_ = 0;
 }
 
 bool EventQueue::cancel(EventId id) {
   const auto slot = static_cast<std::uint32_t>(id & 0xffffffffull);
   const auto gen = static_cast<std::uint32_t>(id >> 32);
-  if (gen == 0 || slot >= slots_.size() || slots_[slot].gen != gen) {
+  if (gen == 0 || slot >= gens_.size() || gens_[slot] != gen) {
     return false;  // already fired, already cancelled, or never existed
   }
   // O(1): drop the callback and invalidate the slot now; the heap entry
@@ -42,7 +67,11 @@ bool EventQueue::cancel(EventId id) {
   free_slot(slot);
   --live_;
   ++dead_in_heap_;
-  maybe_compact();
+  if (live_ == 0 && pages_.size() > 1) {
+    clear();
+  } else {
+    maybe_compact();
+  }
   return true;
 }
 
@@ -80,23 +109,11 @@ EventQueue::Popped EventQueue::pop() {
   heap_.front() = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) sift_down(0);
-  Popped out{e.time, make_id(e.slot, e.gen), std::move(slots_[e.slot].cb)};
+  Popped out{e.time, make_id(e.slot, e.gen), std::move(callback(e.slot))};
   free_slot(e.slot);
   --live_;
+  if (live_ == 0 && pages_.size() > 1) clear();
   return out;
-}
-
-void EventQueue::clear() {
-  heap_.clear();
-  free_slots_.clear();
-  for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-    Slot& s = slots_[i];
-    s.cb = nullptr;
-    if (++s.gen == 0) s.gen = 1;
-    free_slots_.push_back(i);
-  }
-  live_ = 0;
-  dead_in_heap_ = 0;
 }
 
 void EventQueue::sift_up(std::size_t i) {

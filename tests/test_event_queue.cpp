@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
+#include <unordered_set>
 #include <vector>
 
 #include "simkern/assert.hpp"
@@ -12,6 +14,12 @@
 
 namespace optsync::sim {
 namespace {
+
+// A pending event's callback is the queue's per-event cost: the 88-byte
+// inline buffer plus the ops pointer, with no padding between them.
+static_assert(sizeof(EventQueue::Callback) <= 96);
+
+constexpr std::size_t kPage = EventQueue::kPageSlots;
 
 TEST(EventQueue, StartsEmpty) {
   EventQueue q;
@@ -211,8 +219,8 @@ TEST(EventQueue, MillionOpArmCancelStormStaysBounded) {
 
 // Regression: clear() used to leave the cancelled-id bookkeeping behind, so
 // an id armed BEFORE the clear could alias (and cancel) an unrelated event
-// armed after it once the slot was reused. clear() now bumps every slot's
-// generation: stale ids are dead forever.
+// armed after it once the slot was reused. clear() now raises the queue's
+// generation floor above every id handed out: stale ids are dead forever.
 TEST(EventQueue, StaleIdsFromBeforeClearCannotCancelNewEvents) {
   EventQueue q;
   std::vector<EventId> stale;
@@ -267,6 +275,139 @@ TEST(EventQueue, RandomizedOrderMatchesStableSort) {
     EXPECT_EQ(popped.time, e.t);
   }
   EXPECT_TRUE(q.empty());
+}
+
+// Callbacks live in fixed pages; a backlog spanning three of them must pop
+// in exact (time, seq) order with every capture intact (nothing is lost or
+// mixed up when the table grows by a page).
+TEST(EventQueue, ThreePagesOfPendingEventsPopInOrderWithCaptures) {
+  constexpr std::size_t kEvents = 3 * kPage;
+  Rng rng(19);
+  EventQueue q;
+  struct Expect {
+    Time t;
+    std::uint64_t tag;
+  };
+  std::vector<Expect> expected;
+  std::vector<std::uint64_t> fired;
+  fired.reserve(kEvents);
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    const Time t = rng.below(2'000);  // many ties
+    const std::uint64_t tag = i;
+    // A capture large enough to fill most of the inline buffer.
+    const std::array<std::uint64_t, 8> payload = {tag,     tag + 1, tag + 2,
+                                                  tag + 3, tag + 4, tag + 5,
+                                                  tag + 6, tag ^ 0x5a5a};
+    expected.push_back({t, tag});
+    q.push(t, [&fired, payload] {
+      for (std::size_t k = 0; k < 7; ++k) {
+        if (payload[k] != payload[0] + k) return;
+      }
+      if (payload[7] != (payload[0] ^ 0x5a5a)) return;
+      fired.push_back(payload[0]);
+    });
+  }
+  EXPECT_EQ(q.slot_count(), kEvents);
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const Expect& a, const Expect& b) { return a.t < b.t; });
+  for (const auto& e : expected) {
+    auto popped = q.pop();
+    ASSERT_EQ(popped.time, e.t);
+    popped.callback();
+    ASSERT_EQ(fired.back(), e.tag);
+  }
+  EXPECT_EQ(fired.size(), kEvents);
+  EXPECT_TRUE(q.empty());
+}
+
+// Drain release: once the last live event of a multi-page backlog is popped
+// or cancelled, the table is back to one page and the heap is empty.
+TEST(EventQueue, DrainedQueueIsBackToOnePage) {
+  EventQueue q;
+  for (std::size_t i = 0; i < 2 * kPage + kPage / 2; ++i) {
+    q.push(static_cast<Time>(i), [] {});
+  }
+  EXPECT_EQ(q.slot_count(), 2 * kPage + kPage / 2);
+  while (!q.empty()) q.pop().callback();
+  EXPECT_EQ(q.slot_count(), kPage);
+  EXPECT_EQ(q.heap_entries(), 0u);
+  EXPECT_EQ(q.dead_entries(), 0u);
+
+  // The cancel path drains the same way, dead heap entries included.
+  std::vector<EventId> ids;
+  for (std::size_t i = 0; i < 2 * kPage + 1; ++i) {
+    ids.push_back(q.push(static_cast<Time>(1'000 + i), [] {}));
+  }
+  EXPECT_EQ(q.slot_count(), 2 * kPage + 1);
+  for (const EventId id : ids) ASSERT_TRUE(q.cancel(id));
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.slot_count(), kPage);
+  EXPECT_EQ(q.heap_entries(), 0u);
+  EXPECT_EQ(q.dead_entries(), 0u);
+  EXPECT_EQ(q.next_time(), kNever);
+
+  // A one-page queue keeps its table when it drains.
+  q.push(5, [] {});
+  q.pop().callback();
+  EXPECT_EQ(q.slot_count(), kPage);
+}
+
+// Ids from before a drain release or a clear() — fired or cancelled — are
+// dead for good: cancel() misses them, and no event armed afterwards gets
+// one of them back, also once the table has re-grown past its first page
+// (slot indices past the first page are re-created under new generations).
+TEST(EventQueue, IdsFromBeforeAReleaseNeverAliasLaterEvents) {
+  EventQueue q;
+  std::vector<EventId> stale;
+  auto arm_backlog = [&](std::size_t n, Time base) {
+    std::vector<EventId> ids;
+    for (std::size_t i = 0; i < n; ++i) {
+      ids.push_back(q.push(base + static_cast<Time>(i), [] {}));
+    }
+    return ids;
+  };
+
+  // Release by pops, then by cancels: half the backlog fires, the rest is
+  // cancelled, and the last cancel releases the extra pages.
+  auto ids = arm_backlog(3 * kPage, 100);
+  for (std::size_t i = 0; i < ids.size() / 2; ++i) q.pop().callback();
+  for (std::size_t i = ids.size() / 2; i < ids.size(); ++i) {
+    ASSERT_TRUE(q.cancel(ids[i]));
+  }
+  ASSERT_EQ(q.slot_count(), kPage);
+  stale.insert(stale.end(), ids.begin(), ids.end());
+
+  // Re-grow past one page and release again by popping everything.
+  ids = arm_backlog(2 * kPage + 7, 200'000);
+  for (const EventId id : stale) ASSERT_FALSE(q.cancel(id));
+  ASSERT_EQ(q.size(), 2 * kPage + 7);
+  while (!q.empty()) q.pop().callback();
+  ASSERT_EQ(q.slot_count(), kPage);
+  stale.insert(stale.end(), ids.begin(), ids.end());
+
+  // clear() with live events takes the same path.
+  ids = arm_backlog(kPage + 1, 400'000);
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.slot_count(), kPage);
+  EXPECT_EQ(q.heap_entries(), 0u);
+  stale.insert(stale.end(), ids.begin(), ids.end());
+
+  // The fresh backlog re-grows past the first page; nothing stale may
+  // cancel it, and none of its ids repeats a stale one.
+  std::vector<int> fired(3 * kPage, 0);
+  std::vector<EventId> fresh;
+  for (std::size_t i = 0; i < fired.size(); ++i) {
+    fresh.push_back(q.push(600'000 + static_cast<Time>(i),
+                           [&fired, i] { ++fired[i]; }));
+  }
+  const std::unordered_set<EventId> old(stale.begin(), stale.end());
+  for (const EventId id : fresh) ASSERT_EQ(old.count(id), 0u);
+  for (const EventId id : stale) ASSERT_FALSE(q.cancel(id));
+  EXPECT_EQ(q.size(), fired.size());
+  while (!q.empty()) q.pop().callback();
+  for (std::size_t i = 0; i < fired.size(); ++i) ASSERT_EQ(fired[i], 1) << i;
+  for (const EventId id : fresh) EXPECT_FALSE(q.cancel(id));
 }
 
 }  // namespace

@@ -9,7 +9,9 @@
 // each suite's own assertions.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "dsm/system.hpp"
@@ -58,7 +60,9 @@ TEST_P(GwcFaultSoak, TotalOrderSurvivesLossDupAndReorder) {
                                                rng.below(6)));
   std::vector<dsm::VarId> vars;
   for (int v = 0; v < 3; ++v) {
-    vars.push_back(sys.define_data("v" + std::to_string(v), g));
+    std::string name = "v";
+    name += std::to_string(v);
+    vars.push_back(sys.define_data(std::move(name), g));
   }
   for (const net::NodeId m : members) sys.node(m).enable_applied_log(true);
 

@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <string_view>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "dsm/system.hpp"
@@ -149,7 +151,9 @@ ContendedRun run_contended(std::uint32_t batch) {
   const VarId lock = sys.define_lock("l", g);
   std::vector<VarId> data;
   for (int w = 0; w < 6; ++w) {
-    data.push_back(sys.define_mutex_data("m" + std::to_string(w), g, lock));
+    std::string name = "m";
+    name += std::to_string(w);
+    data.push_back(sys.define_mutex_data(std::move(name), g, lock));
   }
   sync::GwcQueueLock lk(sys, lock);
   for (net::NodeId n = 0; n < 3; ++n) sys.node(n).enable_applied_log(true);
@@ -268,7 +272,9 @@ TEST(RootCoalescing, PartialFrameLossRecoversToIdenticalStreams) {
     const GroupId g = sys.create_group(members, 2);
     std::vector<VarId> vars;
     for (int v = 0; v < 3; ++v) {
-      vars.push_back(sys.define_data("v" + std::to_string(v), g));
+      std::string name = "v";
+      name += std::to_string(v);
+      vars.push_back(sys.define_data(std::move(name), g));
     }
     for (const net::NodeId m : members) sys.node(m).enable_applied_log(true);
 

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "dsm/system.hpp"
@@ -36,7 +38,9 @@ TEST_P(GwcTotalOrder, AllMembersApplySameSequence) {
 
   std::vector<VarId> vars;
   for (int v = 0; v < 4; ++v) {
-    vars.push_back(sys.define_data("v" + std::to_string(v), g));
+    std::string name = "v";
+    name += std::to_string(v);
+    vars.push_back(sys.define_data(std::move(name), g));
   }
   for (const NodeId m : members) sys.node(m).enable_applied_log(true);
 

@@ -30,7 +30,7 @@ TEST(RtOptimisticMutex, SingleSectionSucceedsOptimistically) {
   RtOptimisticMutex mux(sys, l, RtOptimisticMutex::Config{});
 
   RtOptimisticMutex::Section sec;
-  sec.shared_writes = {a};
+  sec.shared_writes.push_back(a);
   sec.body = [&sys, a](NodeId me) {
     const Word v = sys.read(me, a);
     sys.write(me, a, v + 1);
@@ -51,7 +51,7 @@ TEST(RtOptimisticMutex, DisabledOptimismTakesRegularPath) {
   mcfg.enable_optimistic = false;
   RtOptimisticMutex mux(sys, l, mcfg);
   RtOptimisticMutex::Section sec;
-  sec.shared_writes = {a};
+  sec.shared_writes.push_back(a);
   sec.body = [&sys, a](NodeId me) { sys.write(me, a, sys.read(me, a) + 1); };
   mux.execute(1, sec);
   sys.quiesce();
@@ -90,7 +90,7 @@ TEST_P(RtMutexStress, CounterExactUnderRacingThreads) {
               std::chrono::microseconds(jitter(rng)));
         }
         RtOptimisticMutex::Section sec;
-        sec.shared_writes = {a};
+        sec.shared_writes.push_back(a);
         sec.body = [&sys, a, &in_section, &overlap](NodeId me) {
           // The body may run speculatively without the lock; the EXCLUSIVE
           // property we can assert is on committed state, checked below.
@@ -137,7 +137,7 @@ TEST(RtOptimisticMutex, RollbacksHappenAndStateStaysExact) {
   auto hammer = [&](NodeId n, int count) {
     for (int k = 0; k < count; ++k) {
       RtOptimisticMutex::Section sec;
-      sec.shared_writes = {a};
+      sec.shared_writes.push_back(a);
       sec.body = [&sys, a](NodeId me) {
         const Word v = sys.read(me, a);
         sys.write(me, a, v + 1);
@@ -179,7 +179,7 @@ TEST(RtOptimisticMutex, ObserverNeverSeesSpeculativeValues) {
   auto hammer = [&](NodeId n) {
     for (int k = 0; k < 30; ++k) {
       RtOptimisticMutex::Section sec;
-      sec.shared_writes = {a};
+      sec.shared_writes.push_back(a);
       sec.body = [&sys, a](NodeId me) {
         sys.write(me, a, sys.read(me, a) + 1);
       };
@@ -208,7 +208,7 @@ TEST(RtOptimisticMutex, LocalSaveRestoreHooksRunOnRollback) {
   auto worker = [&](NodeId n) {
     for (int k = 0; k < 30; ++k) {
       RtOptimisticMutex::Section sec;
-      sec.shared_writes = {a};
+      sec.shared_writes.push_back(a);
       sec.save_locals = [&saves] { saves.fetch_add(1); };
       sec.restore_locals = [&restores] { restores.fetch_add(1); };
       sec.body = [&sys, a](NodeId me) {
@@ -262,7 +262,7 @@ TEST(RtOptimisticMutex, ForeignGrantBeforeTheSavePointIsNeverASuccess) {
   sys.suspend_insharing(1);
   std::thread t0([&] {
     RtOptimisticMutex::Section sec;
-    sec.shared_writes = {a};
+    sec.shared_writes.push_back(a);
     sec.body = [&](NodeId me) {
       std::unique_lock lk(mu);
       cv.wait(lk, [&] { return node1_done_speculating; });
@@ -275,7 +275,7 @@ TEST(RtOptimisticMutex, ForeignGrantBeforeTheSavePointIsNeverASuccess) {
   sys.wait_until(0, l, [](Word v) { return dsm::lock_granted_to(v, 0); });
 
   RtOptimisticMutex::Section sec;
-  sec.shared_writes = {a};
+  sec.shared_writes.push_back(a);
   sec.save_locals = [&] {
     sys.resume_insharing(1);
     sys.wait_until(1, l, [](Word v) {
